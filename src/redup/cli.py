@@ -141,7 +141,7 @@ def cmd_compile(args, config) -> int:
     cg = compile_grammar(_read_grammar(args.grammar))
     entry = args.entry or _default_entry(cg)
     machine = canonical(_compile_entry(cg, entry, _resolve_engine(args, config)))
-    counts = f"{entry}: {machine.n} states, {len(machine.arcs)} arcs\n"
+    counts = f"{entry}: {machine.n} states, {len(machine.raw_arcs)} arcs\n"
     if args.output is None:
         _emit(dump_text(machine), None)
         sys.stderr.write(counts)

@@ -21,15 +21,12 @@ from .dsl import BUILTIN_NAMES, Grammar, Macro
 from .enrich import add_repeats, add_self_loops, add_skips
 from .errors import CompileError
 from .fsa import (
-    Arc,
     Fsa,
-    Label,
     build_from_string,
     combine,
     determinize,
     empty_string_fsa,
     never_fsa,
-    symbol_fsa,
     trim,
 )
 from .interpret import ProductStats, close, intersect_open
@@ -73,42 +70,56 @@ def compile_rule(alphabet: Alphabet, subject: int, outcome: int, context: int) -
 
     def arc(src, bits, dst):
         if bits:
-            arcs.append(Arc(src, Label(bits, False), dst))
+            arcs.append((src, dst, bits, False))
 
     if not banned:
         arc(0, alphabet.sigma, 0)
-        return Fsa(alphabet, 1, 0, frozenset({0}), tuple(arcs))
+        return Fsa.from_raw(alphabet, 1, 0, frozenset({0}), tuple(arcs), check=True)
     arc(0, alphabet.complement(banned), 0)
     arc(0, banned, 1)
     arc(1, banned & alphabet.complement(context), 1)
     arc(1, alphabet.complement(banned | context), 0)
-    return Fsa(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs))
+    return Fsa.from_raw(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs), check=True)
+
+
+def _symbol(al: Alphabet, bits: int, pc: bool) -> Fsa:
+    """One-symbol machine for a set built from the alphabet's own sets.
+
+    The evaluator rejects empty sets before calling this, and every set it
+    builds lies inside sigma, so the machine needs no validation.
+    """
+    return Fsa.from_raw(al, 2, 0, frozenset({1}), ((0, 1, bits, pc),))
+
+
+def _retyped(machine: Fsa, pc: bool) -> Fsa:
+    """The same machine with every arc made producer (pc) or consumer."""
+    return Fsa.from_raw(
+        machine.alphabet,
+        machine.n,
+        machine.start,
+        machine.finals,
+        tuple((s, d, b, pc) for s, d, b, _pc in machine.raw_arcs),
+    )
 
 
 def not_contains(machine: Fsa) -> Fsa:
     """All strings with no factor in the given language (a consuming filter)."""
     al = machine.alphabet
-    blind = Fsa(
-        al,
-        machine.n,
-        machine.start,
-        machine.finals,
-        tuple(Arc(a.src, Label(a.label.bits, False), a.dst) for a in machine.arcs),
-    )
-    anything = combine("star", [symbol_fsa(al, al.sigma, pc=False)])
+    blind = _retyped(machine, False)
+    anything = combine("star", [_symbol(al, al.sigma, False)])
     matcher = determinize(combine("concat", [anything, blind, anything]))
     # complete the DFA with a sink, then swap finals
     sink = matcher.n
-    arcs = list(matcher.arcs)
+    arcs = list(matcher.raw_arcs)
     covered = [0] * (matcher.n + 1)
-    for a in matcher.arcs:
-        covered[a.src] |= a.label.bits
+    for s, _d, b, _pc in matcher.raw_arcs:
+        covered[s] |= b
     for q in range(matcher.n + 1):
         missing = al.sigma & ~covered[q]
         if missing:
-            arcs.append(Arc(q, Label(missing, False), sink))
+            arcs.append((q, sink, missing, False))
     finals = frozenset(q for q in range(matcher.n + 1) if q not in matcher.finals)
-    return trim(Fsa(al, matcher.n + 1, matcher.start, finals, tuple(arcs)))
+    return trim(Fsa.from_raw(al, matcher.n + 1, matcher.start, finals, tuple(arcs)))
 
 
 def ignore_technicals(machine: Fsa) -> Fsa:
@@ -120,14 +131,10 @@ def ignore_technicals(machine: Fsa) -> Fsa:
     without advancing the constraint.
     """
     al = machine.alphabet
-    arcs = [
-        Arc(a.src, Label(a.label.bits & al.seg, a.label.pc), a.dst)
-        for a in machine.arcs
-        if a.label.bits & al.seg
-    ]
-    loop = Label(al.tech, False)
-    arcs.extend(Arc(q, loop, q) for q in range(machine.n))
-    return trim(Fsa(al, machine.n, machine.start, machine.finals, tuple(arcs)))
+    seg = al.seg
+    arcs = [(s, d, b & seg, pc) for s, d, b, pc in machine.raw_arcs if b & seg]
+    arcs.extend((q, q, al.tech, False) for q in range(machine.n))
+    return trim(Fsa.from_raw(al, machine.n, machine.start, machine.finals, tuple(arcs)))
 
 
 class CompiledGrammar:
@@ -184,7 +191,7 @@ class _Evaluator:
         if isinstance(v, int):
             if not v:
                 raise CompileError("empty symbol set used as an automaton")
-            return symbol_fsa(self.al, v, pc=False)
+            return _symbol(self.al, v, False)
         if isinstance(v, LazyFsa):
             return materialize(v, self.budget)
         return v
@@ -291,15 +298,8 @@ class _Evaluator:
             if isinstance(v, int):
                 if not v:
                     raise CompileError(f"{name}() of an empty symbol set")
-                return symbol_fsa(self.al, v, pc=pc)
-            m = self.machine(v)
-            return Fsa(
-                m.alphabet,
-                m.n,
-                m.start,
-                m.finals,
-                tuple(Arc(a.src, Label(a.label.bits, pc), a.dst) for a in m.arcs),
-            )
+                return _symbol(self.al, v, pc)
+            return _retyped(self.machine(v), pc)
         if name in _ENRICH_KIND:
             v = self._one(name, args, env)
             if self.engine == "lazy":

@@ -8,16 +8,21 @@ exact symbol-set expressions that round-trip through the expression language.
 from __future__ import annotations
 
 from .alphabet import Alphabet
-from .fsa import Arc, Fsa
+from .fsa import Fsa
+
+
+def _dump_order(arc):
+    src, dst, bits, pc = arc
+    return src, dst, not pc, bits
 
 
 def dump_text(a: Fsa) -> str:
     lines = [f"states {a.n}", f"start {a.start}"]
     lines.append("finals " + " ".join(str(q) for q in sorted(a.finals)))
-    for arc in sorted(a.arcs, key=lambda x: (x.src, x.dst, not x.label.pc, x.label.bits)):
-        role = "P" if arc.label.pc else "C"
-        expr = a.alphabet.format_label_expr(arc.label.bits)
-        lines.append(f"arc {arc.src} {arc.dst} {role} {expr}")
+    for src, dst, bits, pc in sorted(a.raw_arcs, key=_dump_order):
+        role = "P" if pc else "C"
+        expr = a.alphabet.format_label_expr(bits)
+        lines.append(f"arc {src} {dst} {role} {expr}")
     return "\n".join(lines) + "\n"
 
 
@@ -29,10 +34,10 @@ def dump_dot(a: Fsa, name: str = "fsa") -> str:
     for q in range(a.n):
         shape = "doublecircle" if q in a.finals else "circle"
         out.append(f"  {q} [shape={shape}];")
-    for arc in sorted(a.arcs, key=lambda x: (x.src, x.dst, not x.label.pc, x.label.bits)):
-        lbl = a.alphabet.format_label(arc.label.bits).replace('"', '\\"')
-        pen = ", penwidth=2" if arc.label.pc else ""
-        out.append(f'  {arc.src} -> {arc.dst} [label="{lbl}"{pen}];')
+    for src, dst, bits, pc in sorted(a.raw_arcs, key=_dump_order):
+        lbl = a.alphabet.format_label(bits).replace('"', '\\"')
+        pen = ", penwidth=2" if pc else ""
+        out.append(f'  {src} -> {dst} [label="{lbl}"{pen}];')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -10,36 +10,29 @@ symbol or segment.
 
 from __future__ import annotations
 
-from .fsa import Arc, Fsa, Label
+from .fsa import Fsa
 
 
-def _is_technical(arc: Arc, a: Fsa) -> bool:
-    return bool(arc.label.bits & a.alphabet.tech)
+def _with(a: Fsa, added: tuple) -> Fsa:
+    return Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, a.raw_arcs + added)
 
 
 def add_self_loops(a: Fsa) -> Fsa:
     """Consumer self loop over all segment symbols at every state."""
-    loop = Label(a.alphabet.seg, False)
-    added = tuple(Arc(q, loop, q) for q in range(a.n))
-    return Fsa(a.alphabet, a.n, a.start, a.finals, a.arcs + added)
+    loop = a.alphabet.seg
+    return _with(a, tuple((q, q, loop, False) for q in range(a.n)))
 
 
 def add_skips(a: Fsa) -> Fsa:
     """Consumer skip arc parallel to every non-technical arc."""
-    skip = Label(a.alphabet.skip, False)
-    added = tuple(
-        Arc(arc.src, skip, arc.dst) for arc in a.arcs if not _is_technical(arc, a)
-    )
-    return Fsa(a.alphabet, a.n, a.start, a.finals, a.arcs + added)
+    skip, tech = a.alphabet.skip, a.alphabet.tech
+    return _with(a, tuple((s, d, skip, False) for s, d, b, _pc in a.raw_arcs if not b & tech))
 
 
 def add_repeats(a: Fsa) -> Fsa:
     """Consumer repeat arc reversing every non-technical arc."""
-    rep = Label(a.alphabet.repeat, False)
-    added = tuple(
-        Arc(arc.dst, rep, arc.src) for arc in a.arcs if not _is_technical(arc, a)
-    )
-    return Fsa(a.alphabet, a.n, a.start, a.finals, a.arcs + added)
+    rep, tech = a.alphabet.repeat, a.alphabet.tech
+    return _with(a, tuple((d, s, rep, False) for s, d, b, _pc in a.raw_arcs if not b & tech))
 
 
 def enrich(a: Fsa) -> Fsa:

@@ -1,22 +1,35 @@
 """Epsilon-free automata over featured alphabets, with resource-typed arcs.
 
-Every arc carries a Label: a non-empty symbol-set (int bitmask over the
-alphabet) plus one producer/consumer bit. The bit is part of arc identity for
-all structural operations — determinization and minimization never merge a
+Every arc carries a non-empty symbol set (an int bitmask over the alphabet)
+plus one producer/consumer bit. The bit is part of arc identity for all
+structural operations — determinization and minimization never merge a
 producer arc with a consumer arc, which is what keeps resource accounting
 intact through normalization.
+
+An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
+``raw_arcs`` and caches its out-adjacency the first time an operation asks
+for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
+``compiler`` works on that form directly. ``arcs`` is a view of the same
+arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
+Input is validated at the boundary only: the public constructor, the
+builders and the grammar compiler. Internal operations build their results
+with the unchecked ``Fsa.from_raw``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from collections import deque
+from dataclasses import FrozenInstanceError
+from typing import Iterable, NamedTuple, Sequence
 
 from .alphabet import Alphabet
-from .errors import AutomatonError, EnumerationCapError, InventoryError
+from .errors import AutomatonError, EnumerationCapError
 
 DEFAULT_ENUM_CAP = 200_000
+
+RawArc = tuple[int, int, int, bool]  # (src, dst, bits, pc)
+
+_set = object.__setattr__
 
 
 class Label(NamedTuple):
@@ -30,34 +43,72 @@ class Arc(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
 class Fsa:
-    """Immutable epsilon-free automaton.
+    """Immutable epsilon-free automaton, equal and hashable by value.
 
     States are 0..n-1 with a single start state; `finals` may be empty (the
     empty language). Arcs are kept exactly as constructed — duplicates are
     legal and observable (enrichment re-application adds them on purpose).
     """
 
-    alphabet: Alphabet
-    n: int
-    start: int
-    finals: frozenset[int]
-    arcs: tuple[Arc, ...]
+    __slots__ = ("alphabet", "n", "start", "finals", "raw_arcs", "_arcs", "_out", "_hash")
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        n: int,
+        start: int,
+        finals: Iterable[int],
+        arcs: Iterable[Arc],
+    ):
+        try:
+            arcs = tuple(arcs)
+            raw = tuple((a.src, a.dst, a.label.bits, a.label.pc) for a in arcs)
+            finals = frozenset(finals)
+        except (AttributeError, TypeError):
+            raise AutomatonError(
+                "finals must be a set of states and arcs Arc(src, Label(bits, pc), dst)"
+            ) from None
+        _init(self, alphabet, n, start, finals, raw, arcs)
+        self.__post_init__()
+
+    @staticmethod
+    def from_raw(
+        alphabet: Alphabet,
+        n: int,
+        start: int,
+        finals: frozenset[int],
+        raw_arcs: tuple[RawArc, ...],
+        check: bool = False,
+    ) -> "Fsa":
+        """Build from raw arcs; validated only with `check` (for builders)."""
+        m = object.__new__(Fsa)
+        _init(m, alphabet, n, start, finals, raw_arcs, None)
+        if check:
+            m.__post_init__()
+        return m
 
     def __post_init__(self):
-        if self.n < 1:
+        """The validator: run by the public constructor and the builders."""
+        if not isinstance(self.alphabet, Alphabet):
+            raise AutomatonError("an automaton needs an Alphabet")
+        n = self.n
+        if not isinstance(n, int) or n < 1:
             raise AutomatonError("an automaton needs at least one state")
-        if not 0 <= self.start < self.n:
+        if not isinstance(self.start, int) or not 0 <= self.start < n:
             raise AutomatonError(f"start state {self.start} out of range")
         for q in self.finals:
-            if not 0 <= q < self.n:
+            if not isinstance(q, int) or not 0 <= q < n:
                 raise AutomatonError(f"final state {q} out of range")
         sigma = self.alphabet.sigma
-        for arc in self.arcs:
-            if not 0 <= arc.src < self.n or not 0 <= arc.dst < self.n:
-                raise AutomatonError(f"arc endpoint out of range: {arc}")
-            bits = arc.label.bits
+        for src, dst, bits, pc in self.raw_arcs:
+            if not (isinstance(src, int) and isinstance(dst, int)
+                    and 0 <= src < n and 0 <= dst < n):
+                raise AutomatonError(
+                    f"arc endpoint out of range: {Arc(src, Label(bits, pc), dst)}"
+                )
+            if not isinstance(bits, int):
+                raise AutomatonError(f"arc label {bits!r} is not a symbol bitmask")
             if bits == 0:
                 raise AutomatonError(
                     "empty-label (epsilon) arc: epsilon transitions would make "
@@ -65,6 +116,65 @@ class Fsa:
                 )
             if bits & ~sigma:
                 raise AutomatonError("arc label uses symbols outside the alphabet")
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as Arc values, in construction order (built once)."""
+        arcs = self._arcs
+        if arcs is None:
+            arcs = tuple(Arc(s, Label(b, pc), d) for s, d, b, pc in self.raw_arcs)
+            _set(self, "_arcs", arcs)
+        return arcs
+
+    def out_raw(self) -> list[list[RawArc]]:
+        """Per state, the raw arcs leaving it, in arc order.
+
+        Built on first use and cached: every caller shares the same lists,
+        so read them and never mutate them.
+        """
+        out = self._out
+        if out is None:
+            out = [[] for _ in range(self.n)]
+            for arc in self.raw_arcs:
+                out[arc[0]].append(arc)
+            _set(self, "_out", out)
+        return out
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Fsa:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.start == other.start
+            and self.finals == other.finals
+            and self.raw_arcs == other.raw_arcs
+            and self.alphabet == other.alphabet
+        )
+
+    def __hash__(self):
+        # The alphabet holds dicts and is left out; equal machines share it.
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.start, self.finals, self.raw_arcs))
+            _set(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Fsa.from_raw, (self.alphabet, self.n, self.start, self.finals, self.raw_arcs)
+
+    def __repr__(self):
+        return (
+            f"Fsa(n={self.n}, start={self.start}, finals={sorted(self.finals)}, "
+            f"arcs={len(self.raw_arcs)})"
+        )
 
     # Small conveniences used all over the test-suite and CLI.
 
@@ -84,23 +194,34 @@ class Fsa:
         return q in self.finals
 
 
+def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
+    _set(m, "alphabet", alphabet)
+    _set(m, "n", n)
+    _set(m, "start", start)
+    _set(m, "finals", finals)
+    _set(m, "raw_arcs", raw_arcs)
+    _set(m, "_arcs", arcs)
+    _set(m, "_out", None)
+    _set(m, "_hash", None)
+
+
 # ---------------------------------------------------------------------------
 # basic builders
 
 
 def empty_string_fsa(alphabet: Alphabet) -> Fsa:
     """Accepts exactly the empty string."""
-    return Fsa(alphabet, 1, 0, frozenset({0}), ())
+    return Fsa.from_raw(alphabet, 1, 0, frozenset({0}), ())
 
 
 def never_fsa(alphabet: Alphabet) -> Fsa:
     """Accepts nothing (the canonical empty automaton)."""
-    return Fsa(alphabet, 1, 0, frozenset(), ())
+    return Fsa.from_raw(alphabet, 1, 0, frozenset(), ())
 
 
 def symbol_fsa(alphabet: Alphabet, bits: int, pc: bool = False) -> Fsa:
     """Accepts exactly one symbol drawn from `bits`."""
-    return Fsa(alphabet, 2, 0, frozenset({1}), (Arc(0, Label(bits, pc), 1),))
+    return Fsa.from_raw(alphabet, 2, 0, frozenset({1}), ((0, 1, bits, pc),), check=True)
 
 
 def build_from_string(
@@ -127,8 +248,10 @@ def build_from_string(
                 raise AutomatonError(
                     f"attribute spec empties token {tok!r} at position {i}"
                 )
-        arcs.append(Arc(i, Label(bits, pc), i + 1))
-    return Fsa(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
+        arcs.append((i, i + 1, bits, pc))
+    return Fsa.from_raw(
+        alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs), check=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +279,12 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
     if kind == "union" and not parts:
         return never_fsa(alphabet)
 
-    arcs: list[Arc] = []
+    arcs: list[RawArc] = []
     eps: list[tuple[int, int]] = []
     offset = 0
     placed: list[tuple[int, Fsa]] = []
     for p in parts:
-        for a in p.arcs:
-            arcs.append(Arc(a.src + offset, a.label, a.dst + offset))
+        arcs.extend((s + offset, d + offset, b, pc) for s, d, b, pc in p.raw_arcs)
         placed.append((offset, p))
         offset += p.n
     root = offset  # fresh start state
@@ -201,37 +323,37 @@ def _remove_epsilons(
     n: int,
     start: int,
     finals: set[int],
-    arcs: list[Arc],
+    arcs: list[RawArc],
     eps: list[tuple[int, int]],
 ) -> Fsa:
-    closure: list[set[int]] = [{q} for q in range(n)]
     adj: list[list[int]] = [[] for _ in range(n)]
     for s, d in eps:
         adj[s].append(d)
-    for q in range(n):
-        stack = [q]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in closure[q]:
-                    closure[q].add(nxt)
-                    stack.append(nxt)
-    by_src: list[list[Arc]] = [[] for _ in range(n)]
-    for a in arcs:
-        by_src[a.src].append(a)
-    out: list[Arc] = []
+    by_src: list[list[RawArc]] = [[] for _ in range(n)]
+    for arc in arcs:
+        by_src[arc[0]].append(arc)
+    out: list[RawArc] = []
     new_finals: set[int] = set()
     for q in range(n):
-        seen: set[tuple[int, bool, int]] = set()
-        for p in closure[q]:
-            for a in by_src[p]:
-                key = (a.label.bits, a.label.pc, a.dst)
+        closure: Iterable[int] = (q,)
+        if adj[q]:
+            closure = {q}
+            stack = [q]
+            while stack:
+                for nxt in adj[stack.pop()]:
+                    if nxt not in closure:
+                        closure.add(nxt)
+                        stack.append(nxt)
+        seen: set[tuple[int, int, bool]] = set()
+        for p in closure:
+            for _s, d, b, pc in by_src[p]:
+                key = (d, b, pc)
                 if key not in seen:
                     seen.add(key)
-                    out.append(Arc(q, a.label, a.dst))
+                    out.append((q, d, b, pc))
             if p in finals:
                 new_finals.add(q)
-    return Fsa(alphabet, n, start, frozenset(new_finals), tuple(out))
+    return Fsa.from_raw(alphabet, n, start, frozenset(new_finals), tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +361,55 @@ def _remove_epsilons(
 
 
 def trim(a: Fsa) -> Fsa:
-    """Keep only states on some start-to-final path (canonical empty if none)."""
-    out = a.out_arcs()
-    fwd = {a.start}
-    stack = [a.start]
-    while stack:
-        q = stack.pop()
-        for arc in out[q]:
-            if arc.dst not in fwd:
-                fwd.add(arc.dst)
-                stack.append(arc.dst)
-    inc = a.in_arcs()
-    bwd = set(a.finals)
-    stack = list(a.finals)
-    while stack:
-        q = stack.pop()
-        for arc in inc[q]:
-            if arc.src not in bwd:
-                bwd.add(arc.src)
-                stack.append(arc.src)
-    keep = fwd & bwd
-    if a.start not in keep:
+    """Keep only states on some start-to-final path (canonical empty if none).
+
+    Returns `a` itself when every state is live.
+    """
+    n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
+    if not finals:
         return never_fsa(a.alphabet)
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    arcs = tuple(
-        Arc(remap[x.src], x.label, remap[x.dst])
-        for x in a.arcs
-        if x.src in keep and x.dst in keep
-    )
-    return Fsa(a.alphabet, len(order), remap[a.start],
-               frozenset(remap[q] for q in a.finals if q in keep), arcs)
+    out = a.out_raw()
+    fwd = bytearray(n)
+    fwd[start] = 1
+    stack = [start]
+    while stack:
+        for _s, d, _b, _pc in out[stack.pop()]:
+            if not fwd[d]:
+                fwd[d] = 1
+                stack.append(d)
+    # Walking back over arcs out of reachable states only, every state found
+    # is both reachable and co-reachable.
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for s, d, _b, _pc in raw:
+        if fwd[s]:
+            inc[d].append(s)
+    keep = bytearray(n)
+    stack = [q for q in finals if fwd[q]]
+    for q in stack:
+        keep[q] = 1
+    while stack:
+        for s in inc[stack.pop()]:
+            if not keep[s]:
+                keep[s] = 1
+                stack.append(s)
+    if not keep[start]:
+        return never_fsa(a.alphabet)
+    kept = keep.count(1)
+    if kept == n:
+        return a
+    remap = [-1] * n
+    i = 0
+    for q in range(n):
+        if keep[q]:
+            remap[q] = i
+            i += 1
+    arcs = tuple([
+        (rs, rd, b, pc)
+        for s, d, b, pc in raw
+        if (rs := remap[s]) >= 0 and (rd := remap[d]) >= 0
+    ])
+    return Fsa.from_raw(a.alphabet, kept, remap[start],
+                        frozenset(remap[q] for q in finals if keep[q]), arcs)
 
 
 def label_atoms(labels: Iterable[int]) -> list[int]:
@@ -278,7 +418,7 @@ def label_atoms(labels: Iterable[int]) -> list[int]:
     Each input label is a disjoint union of returned atoms, so atoms act as
     the effective alphabet for subset construction and minimization.
     """
-    labels = list(labels)
+    labels = list(dict.fromkeys(labels))  # a repeated label splits nothing
     blocks: list[int] = []
     rest = 0
     for bits in labels:
@@ -299,19 +439,16 @@ def label_atoms(labels: Iterable[int]) -> list[int]:
 
 
 def _subset_construct(
-    alphabet: Alphabet,
-    arcs: Sequence[Arc],
-    n: int,
+    by_src: list[list[RawArc]],
     initial: frozenset[int],
     accepting: frozenset[int],
     atoms: list[int],
-) -> tuple[int, int, frozenset[int], tuple[Arc, ...]]:
-    by_src: list[list[Arc]] = [[] for _ in range(n)]
-    for a in arcs:
-        by_src[a.src].append(a)
+) -> tuple[int, int, frozenset[int], tuple[RawArc, ...]]:
+    """Subset construction over per-state lists of raw out-arcs."""
+    atoms_of: dict[int, list[int]] = {}  # label bits -> indices of its atoms
     states: dict[frozenset[int], int] = {initial: 0}
     todo = [initial]
-    out_arcs: list[Arc] = []
+    out_arcs: list[RawArc] = []
     finals: set[int] = set()
     while todo:
         subset = todo.pop()
@@ -320,10 +457,12 @@ def _subset_construct(
             finals.add(sid)
         moves: dict[tuple[int, bool], set[int]] = {}
         for q in subset:
-            for arc in by_src[q]:
-                for i, atom in enumerate(atoms):
-                    if atom & arc.label.bits:
-                        moves.setdefault((i, arc.label.pc), set()).add(arc.dst)
+            for _s, dst, bits, pc in by_src[q]:
+                idx = atoms_of.get(bits)
+                if idx is None:
+                    idx = atoms_of[bits] = [i for i, atom in enumerate(atoms) if atom & bits]
+                for i in idx:
+                    moves.setdefault((i, pc), set()).add(dst)
         regroup: dict[tuple[frozenset[int], bool], int] = {}
         for (i, pc), targets in moves.items():
             key = (frozenset(targets), pc)
@@ -334,8 +473,12 @@ def _subset_construct(
             if targets not in states:
                 states[targets] = len(states)
                 todo.append(targets)
-            out_arcs.append(Arc(sid, Label(bits, pc), states[targets]))
+            out_arcs.append((sid, states[targets], bits, pc))
     return len(states), 0, frozenset(finals), tuple(out_arcs)
+
+
+def _atoms(a: Fsa) -> list[int]:
+    return label_atoms(b for _s, _d, b, _pc in a.raw_arcs)
 
 
 def determinize(a: Fsa) -> Fsa:
@@ -343,11 +486,10 @@ def determinize(a: Fsa) -> Fsa:
     a = trim(a)
     if not a.finals:
         return a
-    atoms = label_atoms(arc.label.bits for arc in a.arcs)
     n, start, finals, arcs = _subset_construct(
-        a.alphabet, a.arcs, a.n, frozenset({a.start}), a.finals, atoms
+        a.out_raw(), frozenset({a.start}), a.finals, _atoms(a)
     )
-    return trim(Fsa(a.alphabet, n, start, finals, arcs))
+    return trim(Fsa.from_raw(a.alphabet, n, start, finals, arcs))
 
 
 def minimize(a: Fsa) -> Fsa:
@@ -355,15 +497,17 @@ def minimize(a: Fsa) -> Fsa:
     a = trim(a)
     if not a.finals:
         return a
-    atoms = label_atoms(arc.label.bits for arc in a.arcs)
+    atoms = _atoms(a)
 
     def reverse_det(n, start_set, arcs, accepting):
-        rev = tuple(Arc(x.dst, x.label, x.src) for x in arcs)
-        return _subset_construct(a.alphabet, rev, n, start_set, accepting, atoms)
+        by_dst: list[list[RawArc]] = [[] for _ in range(n)]
+        for s, d, b, pc in arcs:
+            by_dst[d].append((d, s, b, pc))
+        return _subset_construct(by_dst, start_set, accepting, atoms)
 
-    n1, s1, f1, arcs1 = reverse_det(a.n, frozenset(a.finals), a.arcs, frozenset({a.start}))
+    n1, s1, f1, arcs1 = reverse_det(a.n, frozenset(a.finals), a.raw_arcs, frozenset({a.start}))
     n2, s2, f2, arcs2 = reverse_det(n1, f1, arcs1, frozenset({s1}))
-    return trim(Fsa(a.alphabet, n2, s2, f2, arcs2))
+    return trim(Fsa.from_raw(a.alphabet, n2, s2, f2, arcs2))
 
 
 def normalize(a: Fsa, mode: str = "minimize") -> Fsa:
@@ -384,21 +528,21 @@ def canonical(a: Fsa) -> Fsa:
     """
     m = minimize(a)
     order: dict[int, int] = {m.start: 0}
-    by_src = m.out_arcs()
-    queue = [m.start]
+    out = m.out_raw()
+    queue = deque([m.start])
     while queue:
-        q = queue.pop(0)
-        for arc in sorted(by_src[q], key=lambda x: (x.label.bits, x.label.pc, x.dst)):
-            if arc.dst not in order:
-                order[arc.dst] = len(order)
-                queue.append(arc.dst)
+        q = queue.popleft()
+        for _s, d, _b, _pc in sorted(out[q], key=lambda x: (x[2], x[3], x[1])):
+            if d not in order:
+                order[d] = len(order)
+                queue.append(d)
     arcs = tuple(
         sorted(
-            (Arc(order[x.src], x.label, order[x.dst]) for x in m.arcs),
-            key=lambda x: (x.src, x.label.bits, x.label.pc, x.dst),
+            ((order[s], order[d], b, pc) for s, d, b, pc in m.raw_arcs),
+            key=lambda x: (x[0], x[2], x[3], x[1]),
         )
     )
-    return Fsa(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals), arcs)
+    return Fsa.from_raw(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals), arcs)
 
 
 def language_equal(a: Fsa, b: Fsa) -> bool:
@@ -410,31 +554,31 @@ def language_equal(a: Fsa, b: Fsa) -> bool:
 
 
 def is_empty(a: Fsa) -> bool:
-    out = a.out_arcs()
+    out = a.out_raw()
     seen = {a.start}
     stack = [a.start]
     while stack:
         q = stack.pop()
         if q in a.finals:
             return False
-        for arc in out[q]:
-            if arc.dst not in seen:
-                seen.add(arc.dst)
-                stack.append(arc.dst)
+        for _s, d, _b, _pc in out[q]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
     return True
 
 
 def accepts(a: Fsa, symbols: Iterable[int]) -> bool:
     """Membership of a fully specified symbol-index sequence."""
-    out = a.out_arcs()
+    out = a.out_raw()
     current = {a.start}
     for idx in symbols:
         bit = 1 << idx
         nxt = set()
         for q in current:
-            for arc in out[q]:
-                if arc.label.bits & bit:
-                    nxt.add(arc.dst)
+            for _s, d, b, _pc in out[q]:
+                if b & bit:
+                    nxt.add(d)
         if not nxt:
             return False
         current = nxt
@@ -443,9 +587,9 @@ def accepts(a: Fsa, symbols: Iterable[int]) -> bool:
 
 def has_cycle(a: Fsa) -> bool:
     """True if some cycle is reachable from the start state."""
-    out = a.out_arcs()
+    out = a.out_raw()
     color = [0] * a.n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[tuple[int, Iterable[Arc]]] = [(a.start, iter(out[a.start]))]
+    stack = [(a.start, iter(out[a.start]))]
     color[a.start] = 1
     while stack:
         q, it = stack[-1]
@@ -454,11 +598,12 @@ def has_cycle(a: Fsa) -> bool:
             color[q] = 2
             stack.pop()
             continue
-        if color[arc.dst] == 1:
+        d = arc[1]
+        if color[d] == 1:
             return True
-        if color[arc.dst] == 0:
-            color[arc.dst] = 1
-            stack.append((arc.dst, iter(out[arc.dst])))
+        if color[d] == 0:
+            color[d] = 1
+            stack.append((d, iter(out[d])))
     return False
 
 
@@ -471,7 +616,7 @@ def enumerate_language(
     fully specified language — use it only over small, mostly singleton-label
     machines. Aborts with EnumerationCapError beyond `cap` tracked paths.
     """
-    out = a.out_arcs()
+    out = a.out_raw()
     results: set[tuple[int, ...]] = set()
     frontier: set[tuple[int, tuple[int, ...]]] = {(a.start, ())}
     for _ in range(max_len + 1):
@@ -482,11 +627,10 @@ def enumerate_language(
         for q, path in frontier:
             if len(path) == max_len:
                 continue
-            for arc in out[q]:
-                bits = arc.label.bits
+            for _s, d, bits, _pc in out[q]:
                 while bits:
                     low = bits & -bits
-                    nxt.add((arc.dst, path + (low.bit_length() - 1,)))
+                    nxt.add((d, path + (low.bit_length() - 1,)))
                     bits ^= low
             if len(nxt) + len(results) > cap:
                 raise EnumerationCapError(cap)
@@ -559,17 +703,22 @@ def project_surface(a: Fsa) -> Fsa:
     language is exactly the set of surface strings.
     """
     al = a.alphabet
-    arcs: list[Arc] = []
+    seg, tech = al.seg, al.tech
+    widened: dict[int, int] = {}  # segment bits -> all variants of their tokens
+    arcs: list[RawArc] = []
     eps: list[tuple[int, int]] = []
-    for arc in a.arcs:
-        seg_bits = arc.label.bits & al.seg
-        if arc.label.bits & al.tech:
-            eps.append((arc.src, arc.dst))
+    for src, dst, bits, pc in a.raw_arcs:
+        if bits & tech:
+            eps.append((src, dst))
+        seg_bits = bits & seg
         if seg_bits:
-            widened = 0
-            for tok in {s.char for s in al.members(seg_bits)}:
-                widened |= al.char(tok)
-            arcs.append(Arc(arc.src, Label(widened, arc.label.pc), arc.dst))
+            wide = widened.get(seg_bits)
+            if wide is None:
+                wide = 0
+                for tok in {s.char for s in al.members(seg_bits)}:
+                    wide |= al.char(tok)
+                widened[seg_bits] = wide
+            arcs.append((src, dst, wide, pc))
     return trim(_remove_epsilons(al, a.n, a.start, set(a.finals), arcs, eps))
 
 
@@ -589,8 +738,9 @@ def surface_strings(
                 "surface language is infinite; pass max_len to bound enumeration"
             )
         max_len = p.n  # acyclic: a path revisits no state
-    out = p.out_arcs()
+    out = p.out_raw()
     al = p.alphabet
+    tokens: dict[int, list[str]] = {}  # label bits -> its sorted tokens
     results: set[str] = set()
     frontier: set[tuple[int, str]] = {(p.start, "")}
     for _ in range(max_len):
@@ -599,9 +749,12 @@ def surface_strings(
                 results.add(s)
         nxt: set[tuple[int, str]] = set()
         for q, s in frontier:
-            for arc in out[q]:
-                for tok in sorted({sym.char for sym in al.members(arc.label.bits)}):
-                    nxt.add((arc.dst, s + tok))
+            for _s, d, bits, _pc in out[q]:
+                toks = tokens.get(bits)
+                if toks is None:
+                    toks = tokens[bits] = sorted({sym.char for sym in al.members(bits)})
+                for tok in toks:
+                    nxt.add((d, s + tok))
             if len(nxt) + len(results) > cap:
                 raise EnumerationCapError(cap)
         if not nxt:

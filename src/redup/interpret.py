@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Arc, Fsa, Label, trim
+from .fsa import Fsa, trim
 
 
 @dataclass
@@ -35,45 +35,22 @@ def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     if a.alphabet != b.alphabet:
         raise AutomatonError("intersection over mismatched alphabets")
     n, start, finals, arcs, visited = _kernel.product(
-        a.n,
-        a.start,
-        a.finals,
-        [(x.src, x.dst, x.label.bits, x.label.pc) for x in a.arcs],
-        b.n,
-        b.start,
-        b.finals,
-        [(x.src, x.dst, x.label.bits, x.label.pc) for x in b.arcs],
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw()
     )
     if stats is not None:
         stats.record(visited)
-    result = Fsa(
-        a.alphabet,
-        n,
-        start,
-        frozenset(finals),
-        tuple(Arc(src, Label(bits, pc), dst) for src, dst, bits, pc in arcs),
-    )
-    return trim(result)
+    return trim(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 
 def close(a: Fsa) -> Fsa:
     """Closed interpretation: delete arcs whose demands were never produced."""
-    return trim(
-        Fsa(
-            a.alphabet,
-            a.n,
-            a.start,
-            a.finals,
-            tuple(arc for arc in a.arcs if arc.label.pc),
-        )
-    )
+    kept = tuple(arc for arc in a.raw_arcs if arc[3])
+    return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
 
 
 def universal_producer(alphabet: Alphabet) -> Fsa:
     """Producer-typed Σ* (technicals included): the always-available resource."""
-    return Fsa(
-        alphabet, 1, 0, frozenset({0}), (Arc(0, Label(alphabet.sigma, True), 0),)
-    )
+    return Fsa.from_raw(alphabet, 1, 0, frozenset({0}), ((0, 0, alphabet.sigma, True),))
 
 
 def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
@@ -84,11 +61,8 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     loop on each state so the grammar's technical arcs can surface anywhere.
     """
     tokens = alphabet.tokenize(string)
-    arcs = [
-        Arc(i, Label(alphabet.char(tok), False), i + 1) for i, tok in enumerate(tokens)
-    ]
-    tech = Label(alphabet.tech, False)
-    arcs.extend(Arc(q, tech, q) for q in range(len(tokens) + 1))
-    return Fsa(
-        alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs)
+    arcs = [(i, i + 1, alphabet.char(tok), False) for i, tok in enumerate(tokens)]
+    arcs.extend((q, q, alphabet.tech, False) for q in range(len(tokens) + 1))
+    return Fsa.from_raw(
+        alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs), check=True
     )
