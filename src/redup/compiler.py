@@ -11,6 +11,13 @@ The same evaluator drives both engines: with `engine="lazy"` the composition
 seams — intersection of automata, the three enrichments, closure — build
 LazyFsa nodes instead, and structural operators (concatenation, union, star)
 materialize their operands.
+
+Parameter-free subexpressions of parameterised definitions are evaluated
+once per `compile()`: the grammar marks the largest subtrees of each such
+body that use no parameter, and the evaluator keeps their values for the
+rest of the call.  A stem macro's constraint is thus built once, not once
+per stem.  Only values that evaluated successfully are kept, so an error
+raises again wherever it is reached.
 """
 
 from __future__ import annotations
@@ -137,6 +144,34 @@ def ignore_technicals(machine: Fsa) -> Fsa:
     return trim(Fsa.from_raw(al, machine.n, machine.start, machine.finals, tuple(arcs)))
 
 
+def _children(node):
+    for value in node:
+        if hasattr(value, "_fields"):
+            yield value
+        elif isinstance(value, tuple):
+            yield from value
+
+
+def _hoisted_subtrees(body) -> list:
+    """The largest subtrees of a macro body that use no parameter.
+
+    Each one sits directly under a node that does use one, so its value is
+    the same on every call of the macro.
+    """
+    found = []
+
+    def uses_var(node) -> bool:
+        kids = list(_children(node))
+        flags = [uses_var(k) for k in kids]
+        if isinstance(node, dsl.Var) or any(flags):
+            found.extend(k for k, f in zip(kids, flags) if not f)
+            return True
+        return False
+
+    uses_var(body)
+    return found
+
+
 class CompiledGrammar:
     """A grammar file bound to its alphabet, ready to compile entry points."""
 
@@ -146,6 +181,14 @@ class CompiledGrammar:
         for name in self.macros:
             if self.alphabet.has_set(name):
                 raise CompileError(f"definition {name!r} shadows a symbol set")
+        # ids of nodes whose values compile() computes once; self.macros
+        # keeps the nodes alive, so the ids stay theirs
+        self.hoisted = frozenset(
+            id(node)
+            for macro in self.macros.values()
+            if macro.params
+            for node in _hoisted_subtrees(macro.body)
+        )
 
     def compile(
         self,
@@ -183,6 +226,8 @@ class _Evaluator:
         self.stats = stats
         self.budget = budget
         self.stack: list[str] = []
+        self.hoisted = cg.hoisted
+        self.memo: dict[int, object] = {}
 
     # -- typing helpers ----------------------------------------------------
 
@@ -209,10 +254,16 @@ class _Evaluator:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, node, env):
+        key = id(node)
+        if key in self.memo:
+            return self.memo[key]
         method = getattr(self, "_eval_" + type(node).__name__.lower(), None)
         if method is None:
             raise CompileError(f"cannot compile {type(node).__name__}")
-        return method(node, env)
+        value = method(node, env)
+        if key in self.hoisted:
+            self.memo[key] = value
+        return value
 
     def _eval_empty(self, node, env):
         return empty_string_fsa(self.al)

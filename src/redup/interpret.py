@@ -18,7 +18,13 @@ from .fsa import Fsa, trim
 
 @dataclass
 class ProductStats:
-    """Work counters accumulated across intersect_open calls."""
+    """Work counters accumulated across intersect_open calls.
+
+    Passed to `CompiledGrammar.compile`, it sees each product the compile
+    runs.  A product in a parameter-free part of a parameterised definition
+    runs, and is counted, once per compile however often the definition is
+    called.
+    """
 
     calls: int = 0
     visited_pairs: int = 0

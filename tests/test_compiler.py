@@ -11,16 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redup.compiler
+from redup.analyses import load_grammar
 from redup.compiler import (
+    _hoisted_subtrees,
     compile_grammar,
     compile_rule,
     ignore_technicals,
     not_contains,
 )
+from redup.dsl import Call, Concat, Name
 from redup.errors import CompileError
 from redup.fsa import (
+    Fsa,
     accepts,
     build_from_string,
+    canonical,
     combine,
     empty_string_fsa,
     enumerate_language,
@@ -28,6 +34,8 @@ from redup.fsa import (
     never_fsa,
     symbol_fsa,
 )
+from redup.interpret import ProductStats, intersect_open
+from redup.lazy import LazyFsa, materialize
 
 
 def lowest(bits: int) -> int:
@@ -350,3 +358,140 @@ def test_uppercase_segments_resolve_as_sets():
     al = g.alphabet
     assert {a.label.bits for a in m.arcs} == {al.char("E"), al.char("t")}
     assert accepts(m, [lowest(al.char("E")), lowest(al.char("t"))])
+
+
+# -- parameter-free subexpressions are evaluated once per compile ---------------
+
+
+HOIST = """
+segment a vowel.
+segment b consonant.
+
+alternating   := [consonant ^, [vowel, consonant] *, vowel ^].
+ends_in_vowel := [sigma *, vowel].
+word(S) := alternating & ends_in_vowel & stringToAutomaton(S).
+words   := {word("ba"), word("aba"), word("baba")}.
+"""
+
+_INTERSECT = {"eager": "intersect_open", "lazy": "lazy_intersect"}
+
+
+def _count_intersections(monkeypatch, engine) -> list:
+    """Record every intersection the compiler builds with this engine."""
+    name = _INTERSECT[engine]
+    real = getattr(redup.compiler, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(redup.compiler, name, counted)
+    return calls
+
+
+def _eager(m):
+    return materialize(m) if isinstance(m, LazyFsa) else m
+
+
+@pytest.mark.parametrize("engine", ["eager", "lazy"])
+def test_closed_constraint_is_built_once_per_compile(monkeypatch, engine):
+    g = compile_grammar(HOIST)
+    al = g.alphabet
+    calls = _count_intersections(monkeypatch, engine)
+    stats = ProductStats()
+    result = _eager(g.compile("words", engine=engine, stats=stats))
+    # one constraint product, then one product per word; rebuilding the
+    # constraint on every call would take six
+    assert len(calls) == 4
+    if engine == "eager":
+        assert stats.calls == 4
+    # the values live for one call: a second compile builds it again
+    g.compile("words", engine=engine)
+    assert len(calls) == 8
+
+    constraint = intersect_open(g.compile("alternating"), g.compile("ends_in_vowel"))
+    by_hand = combine(
+        "union",
+        [intersect_open(constraint, build_from_string(al, s)) for s in ("ba", "aba", "baba")],
+    )
+    assert canonical(result) == canonical(by_hand)
+
+
+def test_koasati_hoists_the_stem_constraint_and_wordform_operands():
+    g = load_grammar("koasati")
+    hoisted = {
+        name: _hoisted_subtrees(macro.body)
+        for name, macro in g.macros.items()
+        if macro.params
+    }
+    assert hoisted["first_"] == []
+    [constraint] = hoisted["stem"]
+    assert isinstance(constraint, Call)
+    assert constraint.name == "ignore_technical_symbols_in"
+    assert hoisted["underspecified_for_voicing"] == [
+        Name("vowel"),
+        Concat((Call("producer", (Name("h"),)), Call("consumer", (Name("skip"),)))),
+    ]
+    assert hoisted["wordform"] == [
+        Name("word_level_constraints"),
+        Name("punctual_aspect_reduplication"),
+    ]
+    assert g.hoisted == {id(n) for nodes in hoisted.values() for n in nodes}
+
+
+SCOPED = """
+segment o vowel.
+segment t consonant.
+
+a(X) := [X, b].
+b := a("o").
+broken(X) := [X, [o, vowel & consonant]].
+fine(X) := [X, o].
+"""
+
+
+def test_recursion_through_a_hoisted_subtree_is_still_an_error():
+    g = compile_grammar(SCOPED)
+    for _ in range(2):
+        with pytest.raises(CompileError, match="recursive definition: a -> b -> a"):
+            g.compile('a("t")')
+        with pytest.raises(CompileError, match="recursive definition: b -> a -> b"):
+            g.compile("b")
+
+
+def test_error_in_a_hoisted_subtree_raises_on_every_compile():
+    g = compile_grammar(SCOPED)
+    for _ in range(2):
+        with pytest.raises(CompileError, match="empty symbol set"):
+            g.compile('broken("t")')
+    assert accepts(
+        g.compile('fine("t")'), [lowest(g.alphabet.char(c)) for c in ("t", "o")]
+    )
+
+
+def _machines_reachable_from(root) -> list:
+    """Every Fsa or LazyFsa held by root's attributes and containers."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, str, int)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Fsa, LazyFsa)):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("engine", ["eager", "lazy"])
+def test_compiled_grammar_keeps_no_machines_after_compile(engine):
+    g = load_grammar("koasati")
+    assert g.compile("wordform_lexicon", engine=engine) is not None
+    assert _machines_reachable_from(g) == []
