@@ -21,6 +21,7 @@ def product(
     start_b: int,
     finals_b: frozenset[int],
     out_b: Sequence[Sequence[tuple[int, int, int, bool]]],
+    closed: bool = False,
 ) -> tuple[int, int, list[int], list[tuple[int, int, int, bool]], int]:
     """Reachable pair-product of two machines given by their out-adjacency.
 
@@ -31,6 +32,11 @@ def product(
     visited_pairs): arcs are (src, dst, label_bits, pc) tuples, and
     visited_pairs counts the distinct state pairs discovered — the work
     measure used to compare engines.
+
+    With ``closed`` the product is closed as it is built: a pair of arcs
+    neither of which is a producer makes no arc, so only pairs reachable
+    over producer arcs are discovered.  Trimming the result gives the closed
+    interpretation of the open product.
     """
     # A pair (qa, qb) is keyed as the int qa * n_b + qb.
     pair_id: dict[int, int] = {start_a * n_b + start_b: 0}
@@ -46,9 +52,10 @@ def product(
         succ_b = out_b[qb]
         for _sa, da, ba, pa in out_a[qa]:
             base = da * n_b
+            keep = pa or not closed
             for _sb, db, bb, pb in succ_b:
                 bits = ba & bb
-                if bits:
+                if bits and (keep or pb):
                     key = base + db
                     tid = pair_id.get(key)
                     if tid is None:

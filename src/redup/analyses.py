@@ -168,11 +168,7 @@ def word_level_constraints() -> Fsa:
 def wordform(entry: Fsa) -> Fsa:
     """Close an enriched stem (or union of stems) together with the
     reduplication morpheme under the word-level constraints."""
-    open_product = intersect_open(
-        intersect_open(word_level_constraints(), entry),
-        punctual_aspect_reduplication(),
-    )
-    return close(open_product)
+    return close(word_level_constraints(), entry, punctual_aspect_reduplication())
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .fsa import (
     project_surface,
     surface_strings,
 )
-from .interpret import close, intersect_open, prepare_parse_input
+from .interpret import close, prepare_parse_input
 from .lazy import LazyFsa, is_empty_lazy, lazy_close, lazy_intersect, materialize
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def cmd_parse(args, config) -> int:
         empty = is_empty_lazy(lazy_close(lazy_intersect(machine, parse_input)))
     else:
         machine = cg.compile(args.entry)
-        empty = is_empty(close(intersect_open(machine, parse_input)))
+        empty = is_empty(close(machine, parse_input))
     sys.stdout.write("REJECT\n" if empty else "ACCEPT\n")
     return EXIT_REJECT if empty else EXIT_OK
 

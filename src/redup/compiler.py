@@ -12,6 +12,12 @@ seams — intersection of automata, the three enrichments, closure — build
 LazyFsa nodes instead, and structural operators (concatenation, union, star)
 materialize their operands.
 
+On the eager engine, `closed_interpretation` of an `&` chain is one step:
+the chain's operands are evaluated once each, typed as `&` types them, and
+passed to `close`, which intersects all but the largest openly and joins
+the largest last in one closed product.  A hoisted `&` inside the chain
+counts as one operand.
+
 Parameter-free subexpressions of parameterised definitions are evaluated
 once per `compile()`: the grammar marks the largest subtrees of each such
 body that use no parameter, and the evaluator keeps their values for the
@@ -357,10 +363,10 @@ class _Evaluator:
                 return lazy_enrich(self.lazy(v), _ENRICH_KIND[name], self.budget)
             return _ENRICH_FN[name](self.machine(v))
         if name == "closed_interpretation":
-            v = self._one(name, args, env)
             if self.engine == "lazy":
-                return lazy_close(self.lazy(v))
-            return close(self.machine(v))
+                return lazy_close(self.lazy(self._one(name, args, env)))
+            operands = self._and_operands(self._arg(name, args), env)
+            return close(*map(self.machine, operands), stats=self.stats)
         if name == "not_contains":
             v = self._one(name, args, env)
             return not_contains(self.machine(v))
@@ -374,10 +380,29 @@ class _Evaluator:
             return v
         raise AssertionError(name)
 
-    def _one(self, name, args, env):
+    def _arg(self, name, args):
         if len(args) != 1:
             raise CompileError(f"{name} takes one argument, got {len(args)}")
-        return self.eval(args[0], env)
+        return args[0]
+
+    def _one(self, name, args, env):
+        return self.eval(self._arg(name, args), env)
+
+    def _and_operands(self, node, env) -> list:
+        """The operands of the `&` chain `node`, each evaluated once.
+
+        Typed as `_eval_and` types them: two symbol-set sides merge into one
+        set, any other pair of sides becomes machines.  A hoisted `&` is one
+        operand, so its memoised value is reused.
+        """
+        if not isinstance(node, dsl.And) or id(node) in self.hoisted:
+            return [self.eval(node, env)]
+        left = self._and_operands(node.left, env)
+        right = self._and_operands(node.right, env)
+        if len(left) == len(right) == 1:
+            if isinstance(left[0], int) and isinstance(right[0], int):
+                return [left[0] & right[0]]
+        return [self.machine(v) for v in left + right]
 
     def _expand(self, name, args, env):
         macro: Macro = self.macros[name]

@@ -3,12 +3,15 @@
 Open intersection pairs compatible arcs and ORs their producer bits, so a
 producer on either side licenses the combined arc while unmatched consumer
 demands stay pending. Closing settles the account: arcs still marked
-consumer never found a producer and are deleted.
+consumer never found a producer and are deleted.  Closing an intersection
+is one step, `close(a, b, ...)`, which drops those arcs while it builds the
+last product rather than after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import _kernel
 from .alphabet import Alphabet
@@ -18,12 +21,12 @@ from .fsa import Fsa, trim
 
 @dataclass
 class ProductStats:
-    """Work counters accumulated across intersect_open calls.
+    """Work counters accumulated across the products of intersect_open and close.
 
     Passed to `CompiledGrammar.compile`, it sees each product the compile
-    runs.  A product in a parameter-free part of a parameterised definition
-    runs, and is counted, once per compile however often the definition is
-    called.
+    runs, the closed product of a `closed_interpretation` included.  A
+    product in a parameter-free part of a parameterised definition runs, and
+    is counted, once per compile however often the definition is called.
     """
 
     calls: int = 0
@@ -36,22 +39,46 @@ class ProductStats:
         self.per_call.append(visited)
 
 
-def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
-    """Pairwise product with label intersection and producer-dominant pc."""
+def _product(a: Fsa, b: Fsa, stats: ProductStats | None, closed: bool) -> Fsa:
     if a.alphabet != b.alphabet:
         raise AutomatonError("intersection over mismatched alphabets")
     n, start, finals, arcs, visited = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw()
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed
     )
     if stats is not None:
         stats.record(visited)
     return trim(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 
-def close(a: Fsa) -> Fsa:
-    """Closed interpretation: delete arcs whose demands were never produced."""
-    kept = tuple(arc for arc in a.raw_arcs if arc[3])
-    return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
+def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
+    """Pairwise product with label intersection and producer-dominant pc."""
+    return _product(a, b, stats, closed=False)
+
+
+def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
+    """Closed interpretation of the open intersection of `parts`.
+
+    Deletes the arcs whose demands were never produced.  `close(m)` filters
+    one machine.  With several parts, all but the one with the most arcs
+    are intersected openly in the order given, and that largest part joins
+    last, in one closed product: arc pairs with no producer on either side
+    are never built, so the states only they reach are never visited.  Open
+    intersection is associative and commutative, so the result is
+    `close(reduce(intersect_open, parts))` up to state numbering.  `stats`
+    counts every product run.
+    """
+    if not parts:
+        raise TypeError("close() needs at least one automaton")
+    if len(parts) == 1:
+        a = parts[0]
+        kept = tuple(arc for arc in a.raw_arcs if arc[3])
+        return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
+    last = max(range(len(parts)), key=lambda i: len(parts[i].raw_arcs))
+    rest = reduce(
+        lambda x, y: intersect_open(x, y, stats),
+        [p for i, p in enumerate(parts) if i != last],
+    )
+    return _product(rest, parts[last], stats, closed=True)
 
 
 def universal_producer(alphabet: Alphabet) -> Fsa:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redup.compiler
-from redup.analyses import load_grammar
+from redup.analyses import GRAMMAR_NAMES, load_grammar
 from redup.compiler import (
     _hoisted_subtrees,
     compile_grammar,
@@ -34,7 +34,7 @@ from redup.fsa import (
     never_fsa,
     symbol_fsa,
 )
-from redup.interpret import ProductStats, intersect_open
+from redup.interpret import ProductStats, close, intersect_open
 from redup.lazy import LazyFsa, materialize
 
 
@@ -416,6 +416,64 @@ def test_closed_constraint_is_built_once_per_compile(monkeypatch, engine):
         [intersect_open(constraint, build_from_string(al, s)) for s in ("ba", "aba", "baba")],
     )
     assert canonical(result) == canonical(by_hand)
+
+
+CLOSED_HOIST = HOIST + """
+closed_word(S) := closed_interpretation(stringToAutomaton(S)
+                                        & (alternating & ends_in_vowel)).
+closed_words   := {closed_word("ba"), closed_word("aba"), closed_word("baba")}.
+"""
+
+
+def test_parameter_free_and_inside_a_closed_chain_is_built_once():
+    g = compile_grammar(CLOSED_HOIST)
+    al = g.alphabet
+    stats = ProductStats()
+    result = g.compile("closed_words", stats=stats)
+    # one constraint product, then one closed product per word
+    assert stats.calls == 4
+    g.compile("closed_words", stats=stats)
+    assert stats.calls == 8
+
+    constraint = intersect_open(g.compile("alternating"), g.compile("ends_in_vowel"))
+    by_hand = combine(
+        "union",
+        [close(intersect_open(build_from_string(al, s), constraint))
+         for s in ("ba", "aba", "baba")],
+    )
+    assert canonical(result) == canonical(by_hand)
+
+
+@pytest.mark.parametrize("engine", ["eager", "lazy"])
+def test_empty_set_inside_a_closed_chain_is_an_error(cg, engine):
+    with pytest.raises(CompileError, match="empty symbol set used as an automaton"):
+        cg.compile("closed_interpretation(ab & (vowel & consonant))", engine=engine)
+
+
+@pytest.mark.parametrize("grammar", GRAMMAR_NAMES)
+def test_eager_and_lazy_agree_on_every_entry(grammar):
+    g = load_grammar(grammar)
+    for name, macro in g.macros.items():
+        if not macro.params:
+            eager = g.compile(name)
+            lazy = _eager(g.compile(name, engine="lazy"))
+            assert canonical(eager) == canonical(lazy), name
+
+
+def test_closed_wordform_visits_fewer_pairs_than_the_open_chain():
+    g = load_grammar("koasati")
+    fused = ProductStats()
+    result = g.compile("wordform_lexicon", stats=fused)
+
+    chain = ProductStats()
+    wlc, lexicon, punctual = (
+        g.compile(name, stats=chain)
+        for name in ("word_level_constraints", "lexicon", "punctual_aspect_reduplication")
+    )
+    open_product = intersect_open(intersect_open(wlc, lexicon, chain), punctual, chain)
+    assert fused.calls == chain.calls
+    assert fused.visited_pairs < chain.visited_pairs
+    assert canonical(result) == canonical(close(open_product))
 
 
 def test_koasati_hoists_the_stem_constraint_and_wordform_operands():

@@ -11,6 +11,7 @@ import copy
 import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,15 @@ from hypothesis import strategies as st
 
 from redup.enrich import add_repeats, add_self_loops, add_skips
 from redup.errors import AutomatonError
-from redup.fsa import Arc, Fsa, Label, build_from_string, project_surface, trim
+from redup.fsa import (
+    Arc,
+    Fsa,
+    Label,
+    build_from_string,
+    canonical,
+    project_surface,
+    trim,
+)
 from redup.interpret import close, intersect_open
 
 # -- reference operations over the public view ---------------------------------
@@ -107,6 +116,23 @@ def test_close_and_trim_match_reference(ab, data):
     m = random_fsa(ab, data.draw)
     same_machine(close(m), ref_close(m))
     same_machine(trim(m), ref_trim(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_closed_product_matches_close_of_open_chain(ab, data):
+    parts = [random_fsa(ab, data.draw) for _ in range(data.draw(st.integers(2, 3)))]
+    got = close(*parts)
+    want = close(reduce(intersect_open, parts))
+    assert got.n == want.n
+    assert len(got.raw_arcs) == len(want.raw_arcs)
+    assert len(got.finals) == len(want.finals)
+    assert canonical(got) == canonical(want)
+    assert all(pc for _s, _d, _b, pc in got.raw_arcs)
+    # one part: filter the consumer arcs out, then trim
+    m = parts[0]
+    producers = tuple(arc for arc in m.raw_arcs if arc[3])
+    assert close(m) == trim(Fsa.from_raw(ab, m.n, m.start, m.finals, producers))
 
 
 @settings(max_examples=100, deadline=None)
