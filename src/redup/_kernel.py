@@ -3,13 +3,33 @@
 Pure Python, and the only kernel; ``BACKEND`` names it in benchmark
 reports. It works on the adjacency lists that ``Fsa.out_raw`` caches and
 returns raw ``(src, dst, bits, pc)`` arcs, so a product converts nothing.
+
+A state with at least ``FANOUT`` out-arcs is paired through a label index:
+its arcs grouped by ``(bits, pc)``, so each distinct label is tested once
+against the other side's arcs. A lexicon is a union of stems, and its start
+state has hundreds of out-arcs but only a dozen distinct labels; the index
+makes a parse's product cost follow the arcs that match rather than that
+fan-out. The index of a state is built the first time a product visits it
+and kept in the dict the caller passes, which ``Fsa.label_index`` caches on
+the machine, so a compiled lexicon builds it once for every query.
 """
 
 from __future__ import annotations
 
+from itertools import product as _pairs
 from typing import Sequence
 
 BACKEND = "py"
+
+# Out-degree from which a state is paired through its label index. Results
+# do not depend on it. Over the products of the shipped grammars and of the
+# synthetic Koasati lexicons, an operand state has at most 8 out-arcs or is
+# a lexicon's start state, with 24 (the shipped Koasati lexicon) to several
+# thousand. Any cutoff in 9..24 indexes the same states; at 8 or less the
+# many 8-arc states would pay for an index that groups little.
+FANOUT = 16
+
+Groups = list[tuple[int, bool, Sequence[int]]]  # (bits, pc, arc positions)
 
 
 def product(
@@ -22,6 +42,8 @@ def product(
     finals_b: frozenset[int],
     out_b: Sequence[Sequence[tuple[int, int, int, bool]]],
     closed: bool = False,
+    index_a: dict[int, Groups] | None = None,
+    index_b: dict[int, Groups] | None = None,
 ) -> tuple[int, int, list[int], list[tuple[int, int, int, bool]], int]:
     """Reachable pair-product of two machines given by their out-adjacency.
 
@@ -37,7 +59,17 @@ def product(
     neither of which is a producer makes no arc, so only pairs reachable
     over producer arcs are discovered.  Trimming the result gives the closed
     interpretation of the open product.
+
+    ``index_a`` and ``index_b`` cache the label index of each side's
+    high-fan-out states across calls (see ``Fsa.label_index``). States,
+    arcs and their order do not depend on the index: at an indexed pair the
+    matching arcs are emitted in the order of the plain double loop.
     """
+    if index_a is None:
+        index_a = {}
+    if index_b is None:
+        index_b = {}
+    fanout = FANOUT
     # A pair (qa, qb) is keyed as the int qa * n_b + qb.
     pair_id: dict[int, int] = {start_a * n_b + start_b: 0}
     todo = [start_a * n_b + start_b]
@@ -49,18 +81,57 @@ def product(
         sid = pair_id[key]
         if qa in finals_a and qb in finals_b:
             finals.append(sid)
+        succ_a = out_a[qa]
         succ_b = out_b[qb]
-        for _sa, da, ba, pa in out_a[qa]:
-            base = da * n_b
+        if len(succ_a) < fanout and len(succ_b) < fanout:
+            for _sa, da, ba, pa in succ_a:
+                base = da * n_b
+                keep = pa or not closed
+                for _sb, db, bb, pb in succ_b:
+                    bits = ba & bb
+                    if bits and (keep or pb):
+                        key = base + db
+                        tid = pair_id.get(key)
+                        if tid is None:
+                            tid = len(pair_id)
+                            pair_id[key] = tid
+                            todo.append(key)
+                        arcs.append((sid, tid, bits, pa or pb))
+            continue
+        groups_b = _groups(index_b, qb, succ_b, fanout)
+        matched: list[tuple[int, int]] = []
+        for ba, pa, pos_a in _groups(index_a, qa, succ_a, fanout):
             keep = pa or not closed
-            for _sb, db, bb, pb in succ_b:
-                bits = ba & bb
-                if bits and (keep or pb):
-                    key = base + db
-                    tid = pair_id.get(key)
-                    if tid is None:
-                        tid = len(pair_id)
-                        pair_id[key] = tid
-                        todo.append(key)
-                    arcs.append((sid, tid, bits, pa or pb))
+            for bb, pb, pos_b in groups_b:
+                if ba & bb and (keep or pb):
+                    matched += _pairs(pos_a, pos_b)
+        matched.sort()  # the plain loop's (a-arc, b-arc) order
+        for i, j in matched:
+            _sa, da, ba, pa = succ_a[i]
+            _sb, db, bb, pb = succ_b[j]
+            key = da * n_b + db
+            tid = pair_id.get(key)
+            if tid is None:
+                tid = len(pair_id)
+                pair_id[key] = tid
+                todo.append(key)
+            arcs.append((sid, tid, ba & bb, pa or pb))
     return len(pair_id), 0, finals, arcs, len(pair_id)
+
+
+def _groups(index: dict[int, Groups], q: int, succ, fanout: int) -> Groups:
+    """The arcs of ``succ`` (leaving q) as (bits, pc, positions) groups.
+
+    A state below the fan-out cutoff gets one group per arc, built here and
+    not kept; a state at or above it gets one group per distinct label,
+    cached in ``index``.
+    """
+    if len(succ) < fanout:
+        return [(b, pc, (i,)) for i, (_s, _d, b, pc) in enumerate(succ)]
+    groups = index.get(q)
+    if groups is None:
+        by_label: dict[tuple[int, bool], list[int]] = {}
+        for i, (_s, _d, b, pc) in enumerate(succ):
+            by_label.setdefault((b, pc), []).append(i)
+        groups = index[q] = [(b, pc, pos) for (b, pc), pos in by_label.items()]
+    return groups

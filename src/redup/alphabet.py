@@ -69,6 +69,8 @@ class Alphabet:
     chars: tuple[str, ...]
     _char_mask: dict[str, int] = field(repr=False)
     _class_mask: dict[str, int] = field(repr=False)
+    # distinct token lengths, longest first, for tokenize
+    _token_lengths: tuple[int, ...] = field(repr=False, compare=False)
 
     # -- construction -------------------------------------------------------
 
@@ -146,6 +148,7 @@ class Alphabet:
             chars=tuple(token for token, _c, _e in rows),
             _char_mask=char_mask,
             _class_mask=class_mask,
+            _token_lengths=tuple(sorted({len(t) for t in char_mask}, reverse=True)),
         )
 
     # -- handy masks ---------------------------------------------------------
@@ -211,13 +214,18 @@ class Alphabet:
     # -- tokenization --------------------------------------------------------
 
     def tokenize(self, text: str) -> list[str]:
-        """Split a surface string into inventory tokens by maximal munch."""
+        """Split a surface string into inventory tokens by maximal munch.
+
+        No token is a prefix of another (`from_inventory` checks), so at
+        most one token matches at an offset.
+        """
         tokens: list[str] = []
+        masks = self._char_mask
         i = 0
-        by_length = sorted(self._char_mask, key=len, reverse=True)
         while i < len(text):
-            for tok in by_length:
-                if text.startswith(tok, i):
+            for size in self._token_lengths:
+                tok = text[i:i + size]
+                if tok in masks:
                     tokens.append(tok)
                     i += len(tok)
                     break

@@ -11,9 +11,20 @@ An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
 for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 ``compiler`` works on that form directly. ``arcs`` is a view of the same
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
+A third cache, ``label_index``, holds the product kernel's label index:
+the arcs of each state with many out-arcs grouped by label (see
+``_kernel``). None of the caches takes part in equality, hashing, pickling
+or copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``.
+
+A machine built by search from its start state is reachable by
+construction: the product's output, the subset constructions of
+``determinize`` and ``minimize``, and ``lazy.materialize``. These are pruned
+with ``prune``, the backward half of ``trim``, which builds no adjacency.
+Machines built by splicing or filtering arcs (``combine``, ``close`` of one
+machine, ``project_surface``) can have unreachable states and use ``trim``.
 """
 
 from __future__ import annotations
@@ -51,7 +62,9 @@ class Fsa:
     legal and observable (enrichment re-application adds them on purpose).
     """
 
-    __slots__ = ("alphabet", "n", "start", "finals", "raw_arcs", "_arcs", "_out", "_hash")
+    __slots__ = (
+        "alphabet", "n", "start", "finals", "raw_arcs", "_arcs", "_out", "_index", "_hash"
+    )
 
     def __init__(
         self,
@@ -140,6 +153,20 @@ class Fsa:
             _set(self, "_out", out)
         return out
 
+    def label_index(self) -> dict:
+        """The product kernel's cache of label indexes, by state.
+
+        ``_kernel.product`` fills it for the high-fan-out states it visits,
+        so a machine used in many products (a compiled lexicon) groups its
+        arcs once. Like the adjacency, it is left out of equality, hashing,
+        pickling and copies.
+        """
+        index = self._index
+        if index is None:
+            index = {}
+            _set(self, "_index", index)
+        return index
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -202,6 +229,7 @@ def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
     _set(m, "raw_arcs", raw_arcs)
     _set(m, "_arcs", arcs)
     _set(m, "_out", None)
+    _set(m, "_index", None)
     _set(m, "_hash", None)
 
 
@@ -365,26 +393,51 @@ def trim(a: Fsa) -> Fsa:
 
     Returns `a` itself when every state is live.
     """
-    n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
-    if not finals:
+    if not a.finals:
         return never_fsa(a.alphabet)
     out = a.out_raw()
-    fwd = bytearray(n)
-    fwd[start] = 1
-    stack = [start]
+    fwd = bytearray(a.n)
+    fwd[a.start] = 1
+    stack = [a.start]
     while stack:
         for _s, d, _b, _pc in out[stack.pop()]:
             if not fwd[d]:
                 fwd[d] = 1
                 stack.append(d)
+    return _keep_coreachable(a, fwd)
+
+
+def prune(a: Fsa) -> Fsa:
+    """`trim` for a machine whose every state is reachable from its start.
+
+    A machine built by search from its start state (a product, a subset
+    construction, a lazy materialization) is reachable by construction, so
+    only the backward pass runs, and no adjacency is built or cached.
+    """
+    if not a.finals:
+        return never_fsa(a.alphabet)
+    return _keep_coreachable(a, None)
+
+
+def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
+    """Keep the states that reach a final, among those marked in `fwd`.
+
+    `fwd` marks the states reachable from the start; None means all are.
+    """
+    n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
     # Walking back over arcs out of reachable states only, every state found
     # is both reachable and co-reachable.
     inc: list[list[int]] = [[] for _ in range(n)]
-    for s, d, _b, _pc in raw:
-        if fwd[s]:
+    if fwd is None:
+        for s, d, _b, _pc in raw:
             inc[d].append(s)
+        stack = list(finals)
+    else:
+        for s, d, _b, _pc in raw:
+            if fwd[s]:
+                inc[d].append(s)
+        stack = [q for q in finals if fwd[q]]
     keep = bytearray(n)
-    stack = [q for q in finals if fwd[q]]
     for q in stack:
         keep[q] = 1
     while stack:
@@ -489,7 +542,7 @@ def determinize(a: Fsa) -> Fsa:
     n, start, finals, arcs = _subset_construct(
         a.out_raw(), frozenset({a.start}), a.finals, _atoms(a)
     )
-    return trim(Fsa.from_raw(a.alphabet, n, start, finals, arcs))
+    return prune(Fsa.from_raw(a.alphabet, n, start, finals, arcs))
 
 
 def minimize(a: Fsa) -> Fsa:
@@ -507,7 +560,7 @@ def minimize(a: Fsa) -> Fsa:
 
     n1, s1, f1, arcs1 = reverse_det(a.n, frozenset(a.finals), a.raw_arcs, frozenset({a.start}))
     n2, s2, f2, arcs2 = reverse_det(n1, f1, arcs1, frozenset({s1}))
-    return trim(Fsa.from_raw(a.alphabet, n2, s2, f2, arcs2))
+    return prune(Fsa.from_raw(a.alphabet, n2, s2, f2, arcs2))
 
 
 def normalize(a: Fsa, mode: str = "minimize") -> Fsa:

@@ -16,7 +16,7 @@ from functools import reduce
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Fsa, trim
+from .fsa import Fsa, prune, trim
 
 
 @dataclass
@@ -43,11 +43,12 @@ def _product(a: Fsa, b: Fsa, stats: ProductStats | None, closed: bool) -> Fsa:
     if a.alphabet != b.alphabet:
         raise AutomatonError("intersection over mismatched alphabets")
     n, start, finals, arcs, visited = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
+        a.label_index(), b.label_index(),
     )
     if stats is not None:
         stats.record(visited)
-    return trim(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+    return prune(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:

@@ -15,7 +15,7 @@ from typing import Callable, Hashable
 
 from .alphabet import Alphabet
 from .errors import AutomatonError, ExpansionBudgetError
-from .fsa import Arc, Fsa, Label
+from .fsa import Arc, Fsa, Label, prune
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -221,7 +221,11 @@ def lazy_enrich(l: "Fsa | LazyFsa", kind: str, budget: int = DEFAULT_BUDGET) -> 
 
 
 def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
-    """Exhaustive expansion into an eager Fsa (states in discovery order)."""
+    """Exhaustive expansion into a trimmed eager Fsa (states in discovery order).
+
+    Every descriptor found is reachable, so the dead ones (a lazy product
+    keeps every pair it expands) are pruned by the backward pass alone.
+    """
     ids: dict[Hashable, int] = {l.start: 0}
     queue = deque([l.start])
     arcs: list[Arc] = []
@@ -241,7 +245,7 @@ def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
                 ids[dst] = tid
                 queue.append(dst)
             arcs.append(Arc(sid, lbl, tid))
-    return Fsa(l.alphabet, len(ids), 0, frozenset(finals), tuple(arcs))
+    return prune(Fsa(l.alphabet, len(ids), 0, frozenset(finals), tuple(arcs)))
 
 
 def is_empty_lazy(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> bool:

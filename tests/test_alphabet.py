@@ -1,6 +1,8 @@
 """Alphabet layout, named-set algebra and label formatting."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redup.alphabet import POSITIONS, Alphabet, Kind
 from redup.errors import InventoryError
@@ -99,6 +101,33 @@ def test_tokenize_maximal_munch():
     assert al.tokenize("kyutu") == ["ky", "u", "t", "u"]
     with pytest.raises(InventoryError, match="offset 2"):
         al.tokenize("kyxu")
+
+
+def ref_tokenize(tokens, text):
+    """Maximal munch by trying every token at every offset, longest first."""
+    out, i = [], 0
+    while i < len(text):
+        tok = next((t for t in sorted(tokens, key=len, reverse=True)
+                    if text.startswith(t, i)), None)
+        if tok is None:
+            return i  # the offset where tokenization fails
+        out.append(tok)
+        i += len(tok)
+    return out
+
+
+@given(st.text(alphabet="kytsuhx", max_size=12))
+def test_tokenize_matches_reference(text):
+    tokens = ["ky", "tsh", "s", "u", "h"]
+    al = Alphabet.from_inventory(
+        [(t, "vowel" if t == "u" else "consonant", ()) for t in tokens]
+    )
+    want = ref_tokenize(tokens, text)
+    if isinstance(want, int):
+        with pytest.raises(InventoryError, match=f"offset {want}$"):
+            al.tokenize(text)
+    else:
+        assert al.tokenize(text) == want
 
 
 def test_tokenize_single_char(ab):

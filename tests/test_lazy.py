@@ -4,6 +4,7 @@ budgets, and the trim-faithfulness of lazy move-back arcs."""
 import pytest
 
 from redup.alphabet import Alphabet
+from redup.analyses import load_grammar
 from redup.enrich import add_repeats, add_self_loops, enrich
 from redup.errors import AutomatonError, ExpansionBudgetError
 from redup.fsa import (
@@ -195,6 +196,17 @@ def test_full_bambara_pipeline_lazy_equals_eager(bam):
     )
     top = lazy_close(lazy_intersect(lazy_tower(marked), lazy_wrap(morpheme)))
     assert language_equal(materialize(top), eager)
+
+
+def test_materialize_drops_dead_states():
+    """A lazy product keeps every pair it expands, dead ones included (595
+    states for this entry); materialize returns the trimmed machine (81)."""
+    koasati = load_grammar("koasati")
+    eager = koasati.compile("wordform_lexicon")
+    lazy = materialize(koasati.compile("wordform_lexicon", engine="lazy"))
+    assert (lazy.n, len(lazy.raw_arcs)) == (eager.n, len(eager.raw_arcs))
+    assert trim(lazy) is lazy
+    assert language_equal(lazy, eager)
 
 
 # -- budgets and emptiness -------------------------------------------------------

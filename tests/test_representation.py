@@ -4,7 +4,8 @@ The reference product, trim and close below are written against the public
 ``Arc``/``Label`` view only, so they share no code with the raw-arc
 operations they check. On random machines, open intersection, closing and
 the three enrichments must match them exactly: same state count, start and
-finals, and the same arcs as a multiset.
+finals, and the same arcs as a multiset. The product's label index is
+checked the same way, with every state forced through it.
 """
 
 import copy
@@ -12,11 +13,13 @@ import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redup import _kernel
 from redup.enrich import add_repeats, add_self_loops, add_skips
 from redup.errors import AutomatonError
 from redup.fsa import (
@@ -25,7 +28,9 @@ from redup.fsa import (
     Label,
     build_from_string,
     canonical,
+    combine,
     project_surface,
+    prune,
     trim,
 )
 from redup.interpret import close, intersect_open
@@ -103,11 +108,30 @@ def random_fsa(al, draw, n_max=5):
                [Arc(s, Label(b, pc), d) for s, d, b, pc in arcs])
 
 
+def every_state_indexed():
+    """Lower the kernel's fan-out cutoff to its minimum: every state with an
+    arc is then paired through its label index."""
+    return mock.patch.object(_kernel, "FANOUT", 1)
+
+
+def check_intersect_open(ab, data):
+    a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
+    got, want = intersect_open(a, b), ref_intersect_open(a, b)
+    same_machine(got, want)
+    assert got.raw_arcs == want.raw_arcs  # the reference's discovery order too
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_intersect_open_matches_reference(ab, data):
-    a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
-    same_machine(intersect_open(a, b), ref_intersect_open(a, b))
+    check_intersect_open(ab, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_indexed_intersect_open_matches_reference(ab, data):
+    with every_state_indexed():
+        check_intersect_open(ab, data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,9 +142,7 @@ def test_close_and_trim_match_reference(ab, data):
     same_machine(trim(m), ref_trim(m))
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_closed_product_matches_close_of_open_chain(ab, data):
+def check_closed_chain(ab, data):
     parts = [random_fsa(ab, data.draw) for _ in range(data.draw(st.integers(2, 3)))]
     got = close(*parts)
     want = close(reduce(intersect_open, parts))
@@ -133,6 +155,93 @@ def test_closed_product_matches_close_of_open_chain(ab, data):
     m = parts[0]
     producers = tuple(arc for arc in m.raw_arcs if arc[3])
     assert close(m) == trim(Fsa.from_raw(ab, m.n, m.start, m.finals, producers))
+    return parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_closed_product_matches_close_of_open_chain(ab, data):
+    check_closed_chain(ab, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_indexed_closed_product_matches_close_of_open_chain(ab, data):
+    with every_state_indexed():
+        parts = check_closed_chain(ab, data)
+        indexed = close(*parts)
+    assert indexed == close(*parts)  # state numbering and arc order too
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
+    a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
+    n, start, finals, arcs, _pairs = _kernel.product(
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed
+    )
+    m = Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs))
+    assert prune(m) == trim(m)
+
+
+# -- the label index on a high-fan-out state ------------------------------------------
+
+
+def stem_union(ab, count):
+    """A union of `count` two-token stems whose first labels interleave a,
+    b and a-or-b, producers and consumers: the root has `count` out-arcs."""
+    a, b = ab.char("a"), ab.char("b")
+    firsts = [(a, True), (b, False), (a | b, True), (a, False), (b, True)]
+    stems = []
+    for i in range(count):
+        bits, pc = firsts[i % len(firsts)]
+        stems.append(Fsa.from_raw(ab, 3, 0, frozenset({2}),
+                                  ((0, 1, bits, pc), (1, 2, b if i % 2 else a, pc))))
+    return combine("union", stems)
+
+
+def probe(ab):
+    """Three overlapping arcs from the start, then any token, all consumers."""
+    a, b = ab.char("a"), ab.char("b")
+    return Fsa.from_raw(ab, 3, 0, frozenset({2}), (
+        (0, 1, a, False), (0, 1, b, False), (0, 1, a | b, False), (1, 2, a | b, False),
+    ))
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("lexicon_side", ["a", "b"])
+def test_indexed_state_keeps_the_plain_loop_order(ab, closed, lexicon_side):
+    count = 3 * _kernel.FANOUT
+    lexicon, query = stem_union(ab, count), probe(ab)
+    assert len(lexicon.out_raw()[lexicon.start]) == count
+    x, y = (lexicon, query) if lexicon_side == "a" else (query, lexicon)
+
+    def run(index_x, index_y):
+        return _kernel.product(x.n, x.start, x.finals, x.out_raw(),
+                               y.n, y.start, y.finals, y.out_raw(), closed,
+                               index_x, index_y)
+
+    with mock.patch.object(_kernel, "FANOUT", count + 1):
+        plain = run({}, {})  # no state reaches the cutoff: the plain double loop
+    assert run(x.label_index(), y.label_index()) == plain
+    start_arcs = lexicon.out_raw()[lexicon.start]
+    assert list(lexicon.label_index()) == [lexicon.start]
+    assert len(lexicon.label_index()[lexicon.start]) == len(
+        {(b, pc) for _s, _d, b, pc in start_arcs})
+    assert query.label_index() == {}
+    assert run(x.label_index(), y.label_index()) == plain  # from the cached index
+
+
+def test_label_index_is_left_out_of_equality_pickling_and_copies(ab):
+    lexicon = stem_union(ab, 2 * _kernel.FANOUT)
+    fresh = Fsa.from_raw(ab, lexicon.n, lexicon.start, lexicon.finals, lexicon.raw_arcs)
+    intersect_open(lexicon, probe(ab))
+    assert lexicon.label_index()
+    assert lexicon == fresh and hash(lexicon) == hash(fresh)
+    for twin in (copy.copy(lexicon), copy.deepcopy(lexicon),
+                 pickle.loads(pickle.dumps(lexicon))):
+        assert twin == lexicon
+        assert twin.label_index() == {}
 
 
 @settings(max_examples=100, deadline=None)
