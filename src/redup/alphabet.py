@@ -9,11 +9,10 @@ represented as int bitmasks, so set algebra is machine-word AND/OR/NOT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import InventoryError
+from .errors import Frozen, InventoryError
 
 POSITIONS = ("initial", "medial", "final")
 
@@ -55,22 +54,60 @@ class Symbol(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """Symbol table for one grammar: segment variants plus repeat and skip.
 
     Segment variants are laid out contiguously (12 per inventory token, in a
     fixed attribute order), with the two technical symbols at the end, so the
     index layout — and therefore every bitmask — is stable for a given
     inventory declaration order.
+
+    Immutable, and equal by value (`_token_lengths` aside, which follows from
+    `_char_mask`); its dicts make it unhashable.
     """
+
+    __slots__ = ("symbols", "chars", "_char_mask", "_class_mask", "_token_lengths")
 
     symbols: tuple[Symbol, ...]
     chars: tuple[str, ...]
-    _char_mask: dict[str, int] = field(repr=False)
-    _class_mask: dict[str, int] = field(repr=False)
+    _char_mask: dict[str, int]
+    _class_mask: dict[str, int]
     # distinct token lengths, longest first, for tokenize
-    _token_lengths: tuple[int, ...] = field(repr=False, compare=False)
+    _token_lengths: tuple[int, ...]
+
+    def __init__(
+        self,
+        symbols: tuple[Symbol, ...],
+        chars: tuple[str, ...],
+        _char_mask: dict[str, int],
+        _class_mask: dict[str, int],
+        _token_lengths: tuple[int, ...],
+    ):
+        init = object.__setattr__
+        init(self, "symbols", symbols)
+        init(self, "chars", chars)
+        init(self, "_char_mask", _char_mask)
+        init(self, "_class_mask", _class_mask)
+        init(self, "_token_lengths", _token_lengths)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.chars, self._char_mask, self._class_mask) == (
+            other.symbols, other.chars, other._char_mask, other._class_mask
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Alphabet(symbols={self.symbols!r}, chars={self.chars!r})"
+
+    def __reduce__(self):
+        return Alphabet, (
+            self.symbols, self.chars, self._char_mask, self._class_mask, self._token_lengths
+        )
 
     # -- construction -------------------------------------------------------
 

@@ -12,31 +12,22 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple, Sequence
 
 from . import dsl
 from .compiler import CompiledGrammar, compile_grammar
+from .dsl import GRAMMAR_NAMES, grammar_source
 from .enrich import enrich
 from .errors import StemRejectedError
 from .fsa import Fsa, build_from_string, combine, is_empty
 from .interpret import close, intersect_open
 from .lazy import materialize
 
-GRAMMAR_NAMES = ("bambara", "semai", "koasati")
-
 KOASATI_CONSTRAINT_NAMES = (
     "moraification",
     "mark_first_heavy_syllable",
     "positional_classification",
 )
-
-
-def grammar_source(name: str) -> str:
-    """Source text of a packaged grammar file (bambara, semai, koasati)."""
-    if name not in GRAMMAR_NAMES:
-        raise ValueError(f"no packaged grammar named {name!r}")
-    return resources.files("redup").joinpath("data", f"{name}.g").read_text("utf-8")
 
 
 @functools.cache

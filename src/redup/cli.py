@@ -10,17 +10,21 @@ A grammar argument may be a path or the bare name of one of the packaged
 analyses (bambara, semai, koasati).  `--lazy`/`--eager` select the engine;
 the default comes from `--config FILE` (an INI file with a `[redup]`
 section), then the REDUP_ENGINE environment variable, then `eager`.
+
+A run loads only what its verb uses, which matters because interpreter
+start and imports are most of a short command's time: `configparser` with
+`--config`, the lazy engine with `--lazy`, and never `redup.analyses` or
+`dataclasses`.
 """
 
 import argparse
-import configparser
 import os
 import sys
 from pathlib import Path
 
-from .analyses import GRAMMAR_NAMES, grammar_source
 from .compiler import compile_grammar
-from .dump import dump_dot, dump_text
+from .dsl import GRAMMAR_NAMES, grammar_source
+from .dump import dump_text
 from .errors import EnumerationCapError, RedupError
 from .fsa import (
     Fsa,
@@ -32,7 +36,6 @@ from .fsa import (
     surface_strings,
 )
 from .interpret import close, prepare_parse_input
-from .lazy import LazyFsa, is_empty_lazy, lazy_close, lazy_intersect, materialize
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -56,6 +59,8 @@ def _read_grammar(spec: str) -> str:
 
 
 def _read_config(path: str) -> dict:
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as handle:
@@ -122,8 +127,11 @@ def _default_entry(cg) -> str:
 
 def _compile_entry(cg, entry: str, engine: str) -> Fsa:
     machine = cg.compile(entry, engine=engine)
-    if isinstance(machine, LazyFsa):
-        machine = materialize(machine)
+    if engine == "lazy":
+        from .lazy import LazyFsa, materialize
+
+        if isinstance(machine, LazyFsa):
+            machine = materialize(machine)
     return machine
 
 
@@ -152,6 +160,8 @@ def cmd_compile(args, config) -> int:
 
 
 def cmd_dump_dot(args, config) -> int:
+    from .dump import dump_dot
+
     cg = compile_grammar(_read_grammar(args.grammar))
     entry = args.entry or _default_entry(cg)
     machine = canonical(_compile_entry(cg, entry, _resolve_engine(args, config)))
@@ -215,10 +225,12 @@ def cmd_generate(args, config) -> int:
 
 def cmd_parse(args, config) -> int:
     cg = compile_grammar(_read_grammar(args.grammar))
-    cg.alphabet.tokenize(args.surface)  # unknown token -> usage error
-    engine = _resolve_engine(args, config)
+    # an unknown token is a usage error, reported before any engine error
     parse_input = prepare_parse_input(cg.alphabet, args.surface)
+    engine = _resolve_engine(args, config)
     if engine == "lazy":
+        from .lazy import is_empty_lazy, lazy_close, lazy_intersect
+
         machine = cg.compile(args.entry, engine="lazy")
         empty = is_empty_lazy(lazy_close(lazy_intersect(machine, parse_input)))
     else:

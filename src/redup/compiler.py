@@ -10,7 +10,8 @@ and `consumer` retype every arc, the outermost application winning.
 The same evaluator drives both engines: with `engine="lazy"` the composition
 seams — intersection of automata, the three enrichments, closure — build
 LazyFsa nodes instead, and structural operators (concatenation, union, star)
-materialize their operands.
+materialize their operands.  `redup.lazy` is imported only when a compile
+asks for that engine, so eager compiles never load it.
 
 On the eager engine, `closed_interpretation` of an `&` chain is one step:
 the chain's operands are evaluated once each, typed as `&` types them, and
@@ -32,7 +33,7 @@ from .alphabet import Alphabet
 from . import dsl
 from .dsl import BUILTIN_NAMES, Grammar, Macro
 from .enrich import add_repeats, add_self_loops, add_skips
-from .errors import CompileError
+from .errors import DEFAULT_BUDGET, CompileError
 from .fsa import (
     Fsa,
     build_from_string,
@@ -43,15 +44,6 @@ from .fsa import (
     trim,
 )
 from .interpret import ProductStats, close, intersect_open
-from .lazy import (
-    DEFAULT_BUDGET,
-    LazyFsa,
-    lazy_close,
-    lazy_enrich,
-    lazy_intersect,
-    lazy_wrap,
-    materialize,
-)
 
 _ENRICH_KIND = {
     "add_self_loops": "self_loops",
@@ -63,6 +55,13 @@ _ENRICH_FN = {
     "add_skips": add_skips,
     "add_repeats": add_repeats,
 }
+
+
+def lazy_intersect(a, b):
+    """`redup.lazy.lazy_intersect`; the lazy engine is imported on first use."""
+    from . import lazy
+
+    return lazy.lazy_intersect(a, b)
 
 
 def compile_rule(alphabet: Alphabet, subject: int, outcome: int, context: int) -> Fsa:
@@ -243,11 +242,15 @@ class _Evaluator:
             if not v:
                 raise CompileError("empty symbol set used as an automaton")
             return _symbol(self.al, v, False)
-        if isinstance(v, LazyFsa):
-            return materialize(v, self.budget)
-        return v
+        if isinstance(v, Fsa):
+            return v
+        from .lazy import materialize
 
-    def lazy(self, v) -> LazyFsa:
+        return materialize(v, self.budget)
+
+    def lazy(self, v):
+        from .lazy import LazyFsa, lazy_wrap
+
         if isinstance(v, LazyFsa):
             return v
         return lazy_wrap(self.machine(v))
@@ -360,10 +363,14 @@ class _Evaluator:
         if name in _ENRICH_KIND:
             v = self._one(name, args, env)
             if self.engine == "lazy":
+                from .lazy import lazy_enrich
+
                 return lazy_enrich(self.lazy(v), _ENRICH_KIND[name], self.budget)
             return _ENRICH_FN[name](self.machine(v))
         if name == "closed_interpretation":
             if self.engine == "lazy":
+                from .lazy import lazy_close
+
                 return lazy_close(self.lazy(self._one(name, args, env)))
             operands = self._and_operands(self._arg(name, args), env)
             return close(*map(self.machine, operands), stats=self.stats)

@@ -1,5 +1,7 @@
 """Grammar-file syntax: tokenizer, expression parser, and macro table.
 
+Also the source text of the packaged grammars (`grammar_source`).
+
 A grammar file is a sequence of `segment` inventory declarations and macro
 definitions `head := body.` (with optional capitalized parameters, Prolog
 style).  Expressions combine symbol sets and automata:
@@ -16,9 +18,12 @@ set-versus-machine typing happen in the compiler.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import GrammarError
+
+GRAMMAR_NAMES = ("bambara", "semai", "koasati")
 
 BUILTIN_NAMES = frozenset(
     {
@@ -34,7 +39,22 @@ BUILTIN_NAMES = frozenset(
     }
 )
 
-_PUNCT = (":=", "-->", "(", ")", "[", "]", "{", "}", ",", "&", "~", "*", "^", "/", ".")
+# One lexeme after optional blanks, within one line: a quote must close on
+# its line, so an unclosed one falls through to the last alternative, which
+# catches any other non-blank character; only trailing blanks go unmatched.
+# `\w` is exactly `str.isalnum()` or `_`.  A word must also start with a
+# letter or `_`, which `tokenize_source` checks (`[^\W\d]` would let
+# non-decimal digits such as `²` through).
+_LEXEME = re.compile(
+    r"""[ \t\r]*(?:
+        (?P<word>\w+)
+      | (?P<punct>:=|-->|[()\[\]{},&~*^/.])
+      | (?P<string>"[^"]*")
+      | (?P<qname>'[^']*')
+      | (?P<comment>%.*)
+      | (?P<other>[^ \t\r]))""",
+    re.VERBOSE,
+)
 
 
 class Token(NamedTuple):
@@ -45,50 +65,38 @@ class Token(NamedTuple):
 
 
 def tokenize_source(src: str) -> list[Token]:
+    """Split grammar source into tokens, ending with an `eof` token.
+
+    Lines and columns count from 1, columns in characters.  The `eof` token
+    sits after the last character, or at the `%` of a comment that runs to
+    the end of the input.
+    """
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "%":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c in "\"'":
-            start_line, start_col = line, col
-            j = src.find(c, i + 1)
-            if j < 0 or "\n" in src[i:j]:
-                raise GrammarError("unterminated quote", start_line, start_col)
-            kind = "string" if c == '"' else "qname"
-            toks.append(Token(kind, src[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            kind = "var" if word[0].isupper() else "name"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
+    make = Token._make
+    for line, text in enumerate(src.split("\n"), 1):
+        end = len(text) + 1  # the eof column, if this is the last line
+        for m in _LEXEME.finditer(text):
+            kind = m.lastgroup
+            col = m.start(kind) + 1
+            if kind == "word":
+                word = m.group(kind)
+                c = word[0]
+                if not (c.isalpha() or c == "_"):
+                    raise GrammarError(f"unexpected character {c!r}", line, col)
+                toks.append(make(("var" if c.isupper() else "name", word, line, col)))
+            elif kind == "punct":
+                toks.append(make(("punct", m.group(kind), line, col)))
+            elif kind == "comment":
+                end = col
                 break
-        else:
-            raise GrammarError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            elif kind == "other":
+                c = m.group(kind)
+                if c in "\"'":
+                    raise GrammarError("unterminated quote", line, col)
+                raise GrammarError(f"unexpected character {c!r}", line, col)
+            else:  # string or qname
+                toks.append(make((kind, m.group(kind)[1:-1], line, col)))
+    toks.append(make(("eof", "", line, end)))
     return toks
 
 
@@ -262,6 +270,15 @@ def parse_expression(src: str):
 
 
 # -- grammar files ----------------------------------------------------------------
+
+
+def grammar_source(name: str) -> str:
+    """Source text of a packaged grammar file (bambara, semai, koasati)."""
+    if name not in GRAMMAR_NAMES:
+        raise ValueError(f"no packaged grammar named {name!r}")
+    from importlib import resources
+
+    return resources.files("redup").joinpath("data", f"{name}.g").read_text("utf-8")
 
 
 class Macro(NamedTuple):

@@ -1,6 +1,27 @@
 """Exception types shared across the toolkit."""
 
 
+class Frozen:
+    """Base of the immutable slotted classes (`Alphabet`, `Fsa`).
+
+    Assignment and deletion raise `dataclasses.FrozenInstanceError`, as on
+    a frozen dataclass, so callers catch the standard type.  It is imported
+    only when raised: loading the toolkit does not load `dataclasses`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class RedupError(Exception):
     """Base class for all toolkit errors."""
 
@@ -49,6 +70,10 @@ class StemRejectedError(RedupError):
         super().__init__(f"stem {stem!r} is rejected by constraint {constraint!r}")
         self.stem = stem
         self.constraint = constraint
+
+
+# Default cap on the descriptors a lazy automaton may expand.
+DEFAULT_BUDGET = 1_000_000
 
 
 class ExpansionBudgetError(RedupError):

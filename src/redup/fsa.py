@@ -30,11 +30,10 @@ machine, ``project_surface``) can have unreachable states and use ``trim``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError
 from typing import Iterable, NamedTuple, Sequence
 
 from .alphabet import Alphabet
-from .errors import AutomatonError, EnumerationCapError
+from .errors import AutomatonError, EnumerationCapError, Frozen
 
 DEFAULT_ENUM_CAP = 200_000
 
@@ -54,7 +53,7 @@ class Arc(NamedTuple):
     dst: int
 
 
-class Fsa:
+class Fsa(Frozen):
     """Immutable epsilon-free automaton, equal and hashable by value.
 
     States are 0..n-1 with a single start state; `finals` may be empty (the
@@ -166,12 +165,6 @@ class Fsa:
             index = {}
             _set(self, "_index", index)
         return index
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if self is other:

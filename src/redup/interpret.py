@@ -10,7 +10,6 @@ last product rather than after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import _kernel
@@ -19,7 +18,6 @@ from .errors import AutomatonError
 from .fsa import Fsa, prune, trim
 
 
-@dataclass
 class ProductStats:
     """Work counters accumulated across the products of intersect_open and close.
 
@@ -27,11 +25,32 @@ class ProductStats:
     runs, the closed product of a `closed_interpretation` included.  A
     product in a parameter-free part of a parameterised definition runs, and
     is counted, once per compile however often the definition is called.
+    Equal by value and unhashable, as a mutable record should be.
     """
 
-    calls: int = 0
-    visited_pairs: int = 0
-    per_call: list[int] = field(default_factory=list)
+    __slots__ = ("calls", "visited_pairs", "per_call")
+
+    def __init__(
+        self, calls: int = 0, visited_pairs: int = 0, per_call: list[int] | None = None
+    ):
+        self.calls = calls
+        self.visited_pairs = visited_pairs
+        self.per_call = [] if per_call is None else per_call
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.calls, self.visited_pairs, self.per_call) == (
+            other.calls, other.visited_pairs, other.per_call
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"ProductStats(calls={self.calls!r}, visited_pairs={self.visited_pairs!r}, "
+            f"per_call={self.per_call!r})"
+        )
 
     def record(self, visited: int) -> None:
         self.calls += 1
@@ -93,10 +112,10 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     A consumer-typed chain — every surface segment demands a lexical producer
     — underspecified for all attributes, with a consumer {repeat, skip} self
     loop on each state so the grammar's technical arcs can surface anywhere.
+    An unknown token raises `InventoryError`.  Every label comes from the
+    alphabet itself, so the chain is built without validation.
     """
     tokens = alphabet.tokenize(string)
     arcs = [(i, i + 1, alphabet.char(tok), False) for i, tok in enumerate(tokens)]
     arcs.extend((q, q, alphabet.tech, False) for q in range(len(tokens) + 1))
-    return Fsa.from_raw(
-        alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs), check=True
-    )
+    return Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))

@@ -14,10 +14,8 @@ from collections import deque
 from typing import Callable, Hashable
 
 from .alphabet import Alphabet
-from .errors import AutomatonError, ExpansionBudgetError
+from .errors import DEFAULT_BUDGET, AutomatonError, ExpansionBudgetError
 from .fsa import Arc, Fsa, Label, prune
-
-DEFAULT_BUDGET = 1_000_000
 
 # An expansion is (out-arcs as (label, destination-descriptor) pairs, is-final).
 Expansion = tuple[tuple[tuple[Label, Hashable], ...], bool]

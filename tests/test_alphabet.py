@@ -1,5 +1,9 @@
 """Alphabet layout, named-set algebra and label formatting."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -204,3 +208,41 @@ def test_format_label_expr_exhaustive_single_token():
     al = Alphabet.from_inventory([("x", "vowel", ())])
     for bits in range(1, 1 << 12):
         assert _eval_expr(al, al.format_label_expr(bits)) == bits
+
+
+# -- value semantics ------------------------------------------------------------
+
+AB_ROWS = [("a", "vowel", ()), ("b", "consonant", ())]
+
+
+def test_alphabet_is_an_immutable_value(ab):
+    twin = Alphabet.from_inventory(AB_ROWS)
+    assert twin == ab and twin is not ab and not twin != ab
+    assert ab != Alphabet.from_inventory([("a", "vowel", ()), ("c", "consonant", ())])
+    assert ab != Alphabet.from_inventory(AB_ROWS[::-1])
+    assert (ab == "ab") is False
+    # the token-length cache follows from the inventory and is left out
+    fields = (ab.symbols, ab.chars, ab._char_mask, ab._class_mask)
+    assert Alphabet(*fields, _token_lengths=()) == ab
+    assert Alphabet(*fields, (1,)) == ab
+    assert repr(ab) == f"Alphabet(symbols={ab.symbols!r}, chars={ab.chars!r})"
+    with pytest.raises(TypeError):
+        hash(ab)
+
+
+@pytest.mark.parametrize("field", ["symbols", "chars", "_char_mask", "_token_lengths", "other"])
+def test_alphabet_fields_cannot_be_assigned(ab, field):
+    with pytest.raises(FrozenInstanceError):
+        setattr(ab, field, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(ab, field)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda al: pickle.loads(pickle.dumps(al))]
+)
+def test_alphabet_copies_and_pickles(ab, clone):
+    twin = clone(ab)
+    assert twin == ab and repr(twin) == repr(ab)
+    assert twin._token_lengths == ab._token_lengths
+    assert twin.tokenize("abba") == ["a", "b", "b", "a"]

@@ -114,9 +114,12 @@ def test_parse_table(capsys, grammar, entry, surface, code):
 
 
 def test_parse_rejects_unknown_tokens_as_usage(capsys):
-    code, out, err = run(capsys, "parse", "koasati", "wordform_lexicon", "tahasxopin")
-    assert code == 2 and out == ""
-    assert "cannot tokenize" in err
+    expected = "redup: cannot tokenize 'tahasxopin': no inventory token matches at offset 5\n"
+    for flags in ((), ("--eager",), ("--lazy",)):
+        code, out, err = run(
+            capsys, "parse", "koasati", "wordform_lexicon", "tahasxopin", *flags
+        )
+        assert (code, out, err) == (2, "", expected), flags
 
 
 @pytest.mark.parametrize("surface,code", [("tahastoopin", 0), ("tahastopin", 1)])

@@ -1,9 +1,12 @@
 """Grammar-file syntax: tokens, expression shapes, and definition parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redup.analyses import grammar_source
 from redup.dsl import (
+    GRAMMAR_NAMES,
     And,
     Call,
     Concat,
@@ -16,6 +19,7 @@ from redup.dsl import (
     Star,
     Str,
     Union,
+    Token,
     Var,
     parse_expression,
     parse_grammar,
@@ -61,6 +65,118 @@ def test_unterminated_quote_reports_position():
 def test_unexpected_character():
     with pytest.raises(GrammarError, match="unexpected character"):
         tokenize_source("a ; b")
+
+
+_REFERENCE_PUNCT = (
+    ":=", "-->", "(", ")", "[", "]", "{", "}", ",", "&", "~", "*", "^", "/", "."
+)
+
+
+def _reference_tokenize(src: str) -> list[Token]:
+    """The character-by-character tokenizer that the regex scan replaced."""
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if c == "%":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c in "\"'":
+            start_line, start_col = line, col
+            j = src.find(c, i + 1)
+            if j < 0 or "\n" in src[i:j]:
+                raise GrammarError("unterminated quote", start_line, start_col)
+            kind = "string" if c == '"' else "qname"
+            toks.append(Token(kind, src[i + 1 : j], start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i:j]
+            kind = "var" if word[0].isupper() else "name"
+            toks.append(Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _REFERENCE_PUNCT:
+            if src.startswith(p, i):
+                toks.append(Token("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise GrammarError(f"unexpected character {c!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _outcome(tokenize, src):
+    """The token list, or the error's message, line and column."""
+    try:
+        return [tuple(t) for t in tokenize(src)]
+    except GrammarError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+# Characters where a regex class and the str predicates could part ways:
+# `²`, `½` and `Ⅻ` are alphanumeric but not letters (and `²` matches neither
+# `\d` nor `str.isalpha`), `ǅ` is a titlecase letter, `٣` a non-ASCII decimal
+# digit, U+0301 a combining mark, U+2028 and `\x0b` line breaks other than
+# `\n`; plus every character the grammar syntax gives a meaning to.
+_TRICKY = list("aZ_09²½Ⅻǅ٣éßΩω\u0301\u2028\x0b\x00")
+_TRICKY += list(" \t\r\n%\"'-:=>()[]{},&~*^/.;!")
+_FRAGMENTS = [
+    ":=", "-->", "--", "% note", '"wu lu"', "'a:1'", '"open\nline"', "'x\n'", "\r\n"
+]
+_SOURCES = st.lists(
+    st.one_of(st.sampled_from(_TRICKY), st.sampled_from(_FRAGMENTS), st.characters()),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SOURCES)
+def test_tokenizer_matches_the_reference_on_any_text(src):
+    assert _outcome(tokenize_source, src) == _outcome(_reference_tokenize, src)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "",
+        "% only a comment",
+        "a % trailing comment",
+        "a\n% comment, then no newline",
+        "x² := y.",
+        "²x",
+        "ǅa b",
+        "a\tb\r\nc",
+        "'open",
+        '"spans\nlines"',
+        "a -- b",
+        "a : b",
+        "é\u0301",
+    ],
+)
+def test_tokenizer_matches_the_reference_on_edge_cases(src):
+    assert _outcome(tokenize_source, src) == _outcome(_reference_tokenize, src)
+
+
+@pytest.mark.parametrize("name", GRAMMAR_NAMES)
+def test_tokenizer_matches_the_reference_on_packaged_grammars(name):
+    src = grammar_source(name)
+    assert tokenize_source(src) == _reference_tokenize(src)
 
 
 # -- expressions ---------------------------------------------------------------

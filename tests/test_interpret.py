@@ -5,13 +5,17 @@ The Bambara test constructs base and morpheme directly from core operations
 heart of copying-as-intersection.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redup.alphabet import Alphabet
+from redup.analyses import load_grammar
 from redup.enrich import enrich
-from redup.errors import AutomatonError
+from redup.errors import AutomatonError, InventoryError
 from redup.fsa import (
     Arc,
     Fsa,
@@ -233,6 +237,26 @@ def test_longer_noun_copies_whole_base(bam):
     assert surface_strings(closed) == {"wulunyininaowulunyinina"}
 
 
+# -- counters -------------------------------------------------------------------
+
+
+def test_product_stats_is_a_mutable_record():
+    stats = ProductStats()
+    assert (stats.calls, stats.visited_pairs, stats.per_call) == (0, 0, [])
+    assert ProductStats().per_call is not stats.per_call
+    stats.record(3)
+    stats.record(2)
+    assert stats == ProductStats(2, 5, [3, 2])
+    assert stats == ProductStats(calls=2, visited_pairs=5, per_call=[3, 2])
+    assert stats != ProductStats(2, 5, [2, 3])
+    assert (stats == (2, 5, [3, 2])) is False
+    assert repr(stats) == "ProductStats(calls=2, visited_pairs=5, per_call=[3, 2])"
+    with pytest.raises(TypeError):
+        hash(stats)
+    for twin in (copy.copy(stats), copy.deepcopy(stats), pickle.loads(pickle.dumps(stats))):
+        assert twin == stats and twin is not stats
+
+
 # -- parsing -------------------------------------------------------------------
 
 
@@ -252,6 +276,31 @@ def test_prepare_parse_input_empty_string(bam):
     p = prepare_parse_input(bam, "")
     assert p.n == 1 and p.finals == frozenset({0})
     assert [a.label.bits for a in p.arcs] == [bam.tech]
+
+
+# the parse table of the acceptance gate (check 6)
+ACCEPTANCE_PARSES = [
+    ("bambara", "wuluowulu"),
+    ("bambara", "wuluwulu"),
+    ("koasati", "tahastoopin"),
+    ("koasati", "tahastopin"),
+    ("koasati", "akholatlin"),
+]
+
+
+@pytest.mark.parametrize("grammar,string", ACCEPTANCE_PARSES)
+def test_parse_chain_passes_the_validation_it_skips(grammar, string):
+    al = load_grammar(grammar).alphabet
+    chain = prepare_parse_input(al, string)
+    checked = Fsa.from_raw(al, chain.n, chain.start, chain.finals, chain.raw_arcs, check=True)
+    assert chain == checked
+    assert Fsa(al, chain.n, chain.start, chain.finals, chain.arcs) == chain
+
+
+def test_parse_chain_of_an_unknown_token_raises():
+    al = load_grammar("koasati").alphabet
+    with pytest.raises(InventoryError, match="cannot tokenize 'tahasxopin'"):
+        prepare_parse_input(al, "tahasxopin")
 
 
 def test_parse_against_closed_grammar(bam):
