@@ -21,7 +21,6 @@ from .enrich import enrich
 from .errors import StemRejectedError
 from .fsa import Fsa, build_from_string, combine, is_empty
 from .interpret import close, intersect_open
-from .lazy import materialize
 
 KOASATI_CONSTRAINT_NAMES = (
     "moraification",
@@ -172,6 +171,8 @@ def _string_pipeline(grammar_name: str, macro: str, string: str, engine: str) ->
         raise ValueError(f"{macro} needs a base of at least two segments")
     result = cg.compile(dsl.Call(macro, (dsl.Str(string),)), engine=engine)
     if engine == "lazy":
+        from .lazy import materialize
+
         result = materialize(result)
     return result
 

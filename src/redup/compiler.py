@@ -7,11 +7,11 @@ production is always explicit (`producer(...)`, or a lexical string, which
 spells out as a producing chain).  Applied to a whole automaton, `producer`
 and `consumer` retype every arc, the outermost application winning.
 
-The same evaluator drives both engines: with `engine="lazy"` the composition
-seams — intersection of automata, the three enrichments, closure — build
-LazyFsa nodes instead, and structural operators (concatenation, union, star)
-materialize their operands.  `redup.lazy` is imported only when a compile
-asks for that engine, so eager compiles never load it.
+The same evaluator drives both engines: with `engine="lazy"` the two
+composition seams — intersection of automata and closure — build LazyFsa
+nodes instead.  Every other operator, the three enrichments included,
+materializes its operands and is the eager one.  `redup.lazy` is imported
+only when a compile asks for that engine, so eager compiles never load it.
 
 On the eager engine, `closed_interpretation` of an `&` chain is one step:
 the chain's operands are evaluated once each, typed as `&` types them, and
@@ -45,11 +45,6 @@ from .fsa import (
 )
 from .interpret import ProductStats, close, intersect_open
 
-_ENRICH_KIND = {
-    "add_self_loops": "self_loops",
-    "add_skips": "skips",
-    "add_repeats": "repeats",
-}
 _ENRICH_FN = {
     "add_self_loops": add_self_loops,
     "add_skips": add_skips,
@@ -360,13 +355,8 @@ class _Evaluator:
                     raise CompileError(f"{name}() of an empty symbol set")
                 return _symbol(self.al, v, pc)
             return _retyped(self.machine(v), pc)
-        if name in _ENRICH_KIND:
-            v = self._one(name, args, env)
-            if self.engine == "lazy":
-                from .lazy import lazy_enrich
-
-                return lazy_enrich(self.lazy(v), _ENRICH_KIND[name], self.budget)
-            return _ENRICH_FN[name](self.machine(v))
+        if name in _ENRICH_FN:
+            return _ENRICH_FN[name](self.machine(self._one(name, args, env)))
         if name == "closed_interpretation":
             if self.engine == "lazy":
                 from .lazy import lazy_close

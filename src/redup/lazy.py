@@ -2,10 +2,16 @@
 
 A LazyFsa is a start descriptor plus an expansion rule; nothing is computed
 until somebody asks for a state's out-arcs, and every expansion is cached.
-Operators compose lazily — intersection descriptors are operand-descriptor
-pairs, enrichment reuses the operand's descriptors — so deep pipelines only
-ever expand the states an actual query (parse, emptiness check, bounded
-enumeration) touches.
+An expansion lists a state's out-arcs as raw ``(dst, bits, pc)`` triples,
+the ``Fsa.out_raw`` form with a descriptor for the destination.
+
+Intersection and closure are the two lazy seams.  Intersection descriptors
+are pairs of operand descriptors, and closure filters its operand's
+expansions, so a stack of them expands only the pairs that a query (parse,
+emptiness check, materialization) reaches.  Enrichment is eager: a
+move-back arc is anchored at a state's in-arcs, which a forward expansion
+cannot see, so ``lazy_enrich`` materializes its operand and applies the
+enrichment of ``redup.enrich`` to it.
 """
 
 from __future__ import annotations
@@ -14,11 +20,14 @@ from collections import deque
 from typing import Callable, Hashable
 
 from .alphabet import Alphabet
+from .enrich import add_repeats, add_self_loops, add_skips
 from .errors import DEFAULT_BUDGET, AutomatonError, ExpansionBudgetError
-from .fsa import Arc, Fsa, Label, prune
+from .fsa import Fsa, prune
 
-# An expansion is (out-arcs as (label, destination-descriptor) pairs, is-final).
-Expansion = tuple[tuple[tuple[Label, Hashable], ...], bool]
+# An expansion is (out-arcs as (dst-descriptor, bits, pc) triples, is-final).
+Expansion = tuple[tuple[tuple[Hashable, int, bool], ...], bool]
+
+_ENRICH = {"self_loops": add_self_loops, "skips": add_skips, "repeats": add_repeats}
 
 
 class LazyFsa:
@@ -77,17 +86,19 @@ def total_expansions(l: LazyFsa, kind: str | None = None) -> int:
     return total
 
 
-def lazy_wrap(fsa: Fsa) -> LazyFsa:
-    """View an eager automaton as a lazy one (descriptors = its states)."""
-    out = fsa.out_arcs()
+def _view(fsa: Fsa, kind: str, deps: tuple[LazyFsa, ...] = ()) -> LazyFsa:
+    """An eager automaton as a lazy one whose descriptors are its states."""
+    out, finals = fsa.out_raw(), fsa.finals
 
     def expand(q: Hashable) -> Expansion:
-        return (
-            tuple((arc.label, arc.dst) for arc in out[q]),
-            q in fsa.finals,
-        )
+        return tuple([(d, b, pc) for _s, d, b, pc in out[q]]), q in finals
 
-    return LazyFsa(fsa.alphabet, fsa.start, expand, kind="wrap")
+    return LazyFsa(fsa.alphabet, fsa.start, expand, deps=deps, kind=kind)
+
+
+def lazy_wrap(fsa: Fsa) -> LazyFsa:
+    """View an eager automaton as a lazy one (descriptors = its states)."""
+    return _view(fsa, "wrap")
 
 
 def _as_lazy(x: "Fsa | LazyFsa") -> LazyFsa:
@@ -104,13 +115,13 @@ def lazy_intersect(a: "Fsa | LazyFsa", b: "Fsa | LazyFsa") -> LazyFsa:
         ka, kb = key
         arcs_a, fin_a = a.expand(ka)
         arcs_b, fin_b = b.expand(kb)
-        arcs = []
-        for la, da in arcs_a:
-            for lb, db in arcs_b:
-                bits = la.bits & lb.bits
-                if bits:
-                    arcs.append((Label(bits, la.pc or lb.pc), (da, db)))
-        return tuple(arcs), fin_a and fin_b
+        arcs = tuple([
+            ((da, db), bits, pa or pb)
+            for da, ba, pa in arcs_a
+            for db, bb, pb in arcs_b
+            if (bits := ba & bb)
+        ])
+        return arcs, fin_a and fin_b
 
     return LazyFsa(a.alphabet, (a.start, b.start), expand, deps=(a, b), kind="intersect")
 
@@ -121,101 +132,23 @@ def lazy_close(l: "Fsa | LazyFsa") -> LazyFsa:
 
     def expand(key: Hashable) -> Expansion:
         arcs, fin = l.expand(key)
-        return tuple((lbl, dst) for lbl, dst in arcs if lbl.pc), fin
+        return tuple([arc for arc in arcs if arc[2]]), fin
 
     return LazyFsa(l.alphabet, l.start, expand, deps=(l,), kind="close")
 
 
-def _reverse_content_index(
-    l: LazyFsa, budget: int
-) -> dict[Hashable, list[Hashable]]:
-    """dst-descriptor → sources of its incoming non-technical arcs.
-
-    Move-back arcs are anchored at a state's IN-arcs, which a forward
-    expansion rule cannot see locally, so this walks the operand once through
-    its own memo cache.  Only states that can still reach a final get an
-    entry: a lazy operand arrives untrimmed (lazy construction cannot discard
-    dead states the way an eager intersection does), and a move-back arc out
-    of a dead state would splice it back into the live part and accept paths
-    the eagerly built machine rejects.
-    """
-    tech = l.alphabet.tech
-    seen = {l.start}
-    queue = deque([l.start])
-    all_arcs: list[tuple[Hashable, int, Hashable]] = []
-    finals: list[Hashable] = []
-    while queue:
-        key = queue.popleft()
-        arcs, fin = l.expand(key)
-        if fin:
-            finals.append(key)
-        for lbl, dst in arcs:
-            all_arcs.append((key, lbl.bits, dst))
-            if dst not in seen:
-                if len(seen) >= budget:
-                    raise ExpansionBudgetError(budget, len(seen))
-                seen.add(dst)
-                queue.append(dst)
-    into: dict[Hashable, list[Hashable]] = {}
-    for src, _bits, dst in all_arcs:
-        into.setdefault(dst, []).append(src)
-    alive = set(finals)
-    queue = deque(finals)
-    while queue:
-        key = queue.popleft()
-        for src in into.get(key, ()):
-            if src not in alive:
-                alive.add(src)
-                queue.append(src)
-    index: dict[Hashable, list[Hashable]] = {}
-    for src, bits, dst in all_arcs:
-        if dst in alive and not bits & tech:
-            index.setdefault(dst, []).append(src)
-    return index
-
-
 def lazy_enrich(l: "Fsa | LazyFsa", kind: str, budget: int = DEFAULT_BUDGET) -> LazyFsa:
-    """Lazy counterpart of the three enrichments; descriptors are reused.
+    """The eager enrichment `kind` of the operand, materialized within `budget`.
 
-    ``self_loops`` and ``skips`` are purely local to a state's out-arcs.
-    ``repeats`` is not: the first expansion triggers one full traversal of
-    the operand (memoized) to find each state's content in-arcs, and the
-    resulting machine matches what the eager enrichment produces on the
-    trimmed operand.
+    Materializing trims the operand, so no move-back arc leaves a dead
+    state: the result is the enrichment of the trimmed operand, and its
+    descriptors are that enriched machine's states.
     """
-    l = _as_lazy(l)
-    al = l.alphabet
-    if kind == "self_loops":
-        loop = Label(al.seg, False)
-
-        def expand(key: Hashable) -> Expansion:
-            arcs, fin = l.expand(key)
-            return arcs + ((loop, key),), fin
-
-    elif kind == "skips":
-        skip = Label(al.skip, False)
-
-        def expand(key: Hashable) -> Expansion:
-            arcs, fin = l.expand(key)
-            added = tuple(
-                (skip, dst) for lbl, dst in arcs if not lbl.bits & al.tech
-            )
-            return arcs + added, fin
-
-    elif kind == "repeats":
-        rep = Label(al.repeat, False)
-        state: dict = {}
-
-        def expand(key: Hashable) -> Expansion:
-            if "index" not in state:
-                state["index"] = _reverse_content_index(l, budget)
-            arcs, fin = l.expand(key)
-            added = tuple((rep, src) for src in state["index"].get(key, ()))
-            return arcs + added, fin
-
-    else:
+    enrichment = _ENRICH.get(kind)
+    if enrichment is None:
         raise AutomatonError(f"unknown enrichment kind {kind!r}")
-    return LazyFsa(al, l.start, expand, deps=(l,), kind="enrich")
+    l = _as_lazy(l)
+    return _view(enrichment(materialize(l, budget)), "enrich", deps=(l,))
 
 
 def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
@@ -226,7 +159,7 @@ def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
     """
     ids: dict[Hashable, int] = {l.start: 0}
     queue = deque([l.start])
-    arcs: list[Arc] = []
+    arcs: list[tuple[int, int, int, bool]] = []
     finals: set[int] = set()
     while queue:
         key = queue.popleft()
@@ -234,7 +167,7 @@ def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
         out, fin = l.expand(key)
         if fin:
             finals.add(sid)
-        for lbl, dst in out:
+        for dst, bits, pc in out:
             tid = ids.get(dst)
             if tid is None:
                 if len(ids) >= budget:
@@ -242,8 +175,8 @@ def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
                 tid = len(ids)
                 ids[dst] = tid
                 queue.append(dst)
-            arcs.append(Arc(sid, lbl, tid))
-    return prune(Fsa(l.alphabet, len(ids), 0, frozenset(finals), tuple(arcs)))
+            arcs.append((sid, tid, bits, pc))
+    return prune(Fsa.from_raw(l.alphabet, len(ids), 0, frozenset(finals), tuple(arcs)))
 
 
 def is_empty_lazy(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> bool:
@@ -255,7 +188,7 @@ def is_empty_lazy(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> bool:
         arcs, fin = l.expand(key)
         if fin:
             return False
-        for _lbl, dst in arcs:
+        for dst, _bits, _pc in arcs:
             if dst not in seen:
                 if len(seen) >= budget:
                     raise ExpansionBudgetError(budget, len(seen))

@@ -2,10 +2,12 @@
 budgets, and the trim-faithfulness of lazy move-back arcs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redup.alphabet import Alphabet
 from redup.analyses import load_grammar
-from redup.enrich import add_repeats, add_self_loops, enrich
+from redup.enrich import add_repeats, add_self_loops, add_skips, enrich
 from redup.errors import AutomatonError, ExpansionBudgetError
 from redup.fsa import (
     Arc,
@@ -13,6 +15,7 @@ from redup.fsa import (
     Label,
     accepts,
     build_from_string,
+    canonical,
     combine,
     is_empty,
     language_equal,
@@ -31,6 +34,7 @@ from redup.lazy import (
     materialize,
     total_expansions,
 )
+from test_representation import random_fsa
 
 BAMBARA = [(c, "vowel" if c in "uiaeo" else "consonant", ()) for c in "wulnyiafeo"]
 
@@ -93,6 +97,14 @@ def test_expansion_is_memoized(bam):
     assert l.cache_hits == 1
 
 
+def test_expansion_lists_raw_out_arcs_in_order(bam):
+    m = bambara_morpheme(bam)
+    l = lazy_wrap(m)
+    out = m.out_raw()
+    for q in range(m.n):
+        assert l.expand(q) == (tuple((d, b, pc) for _s, d, b, pc in out[q]), q in m.finals)
+
+
 def test_unknown_enrichment_kind(bam):
     with pytest.raises(AutomatonError, match="kind"):
         lazy_enrich(lazy_wrap(never_fsa(bam)), "loops")
@@ -118,6 +130,23 @@ def test_total_expansions_counts_shared_nodes_once(bam):
 
 
 # -- equivalence with the eager operators ----------------------------------------
+
+
+EAGER_ENRICH = {"self_loops": add_self_loops, "skips": add_skips, "repeats": add_repeats}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lazy_operators_match_eager_on_random_machines(ab, data):
+    a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
+    product = lazy_intersect(a, b)
+    assert canonical(materialize(product)) == canonical(intersect_open(a, b))
+    closed = lazy_close(lazy_intersect(a, b))
+    assert canonical(materialize(closed)) == canonical(close(a, b))
+    # an enriched product is not compared: determinizing one can take minutes
+    for kind, eager in EAGER_ENRICH.items():
+        got = materialize(lazy_enrich(lazy_wrap(a), kind))
+        assert canonical(got) == canonical(eager(trim(a))), kind
 
 
 def test_lazy_self_loops_matches_eager(bam):
@@ -218,6 +247,15 @@ def test_materialize_budget_is_enforced(bam):
         materialize(l, budget=1)
     assert exc.value.budget == 1
     materialize(lazy_wrap(build_from_string(bam, "wu")), budget=3)  # exact fit
+
+
+@pytest.mark.parametrize("kind", sorted(EAGER_ENRICH))
+def test_enrichment_budget_is_enforced(bam, kind):
+    wulu = build_from_string(bam, "wulu")  # five states
+    with pytest.raises(ExpansionBudgetError) as exc:
+        lazy_enrich(lazy_wrap(wulu), kind, budget=4)
+    assert exc.value.budget == 4
+    lazy_enrich(lazy_wrap(wulu), kind, budget=5)  # exact fit
 
 
 def test_emptiness_with_early_exit(bam):

@@ -3,8 +3,9 @@
 `redup` exports the same names as before `analyses` and `lazy` became
 deferred, each the defining module's own object, and a CLI run on the eager
 engine never imports `redup.lazy`, `redup.analyses`, `configparser` or
-`dataclasses`.  Import sets are read in fresh interpreters, since this test
-process has already imported everything.
+`dataclasses`, and importing `redup.analyses` does not load `redup.lazy`.
+Import sets are read in fresh interpreters, since this test process has
+already imported everything.
 """
 
 import importlib
@@ -155,6 +156,15 @@ def test_eager_verbs_load_neither_lazy_nor_analyses_nor_their_imports():
     )
     assert "redup.cli" in added
     assert not added & NEVER_ON_THE_EAGER_CLI, sorted(added & NEVER_ON_THE_EAGER_CLI)
+
+
+def test_importing_analyses_does_not_load_the_lazy_engine():
+    result = _fresh("""
+import json, sys
+import redup.analyses
+print(json.dumps({"lazy": "redup.lazy" in sys.modules}))
+""")
+    assert result == {"lazy": False}
 
 
 def test_lazy_engine_and_config_load_on_request(tmp_path):
