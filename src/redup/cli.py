@@ -11,6 +11,10 @@ analyses (bambara, semai, koasati).  `--lazy`/`--eager` select the engine;
 the default comes from `--config FILE` (an INI file with a `[redup]`
 section), then the REDUP_ENGINE environment variable, then `eager`.
 
+`generate` enumerates once.  When a bound overflows the enumeration cap,
+the error carries every complete path length found below the overflow,
+which is printed with a warning on stderr; the exit code stays 0.
+
 A run loads only what its verb uses, which matters because interpreter
 start and imports are most of a short command's time: `configparser` with
 `--config`, the lazy engine with `--lazy`, and never `redup.analyses` or
@@ -169,22 +173,6 @@ def cmd_dump_dot(args, config) -> int:
     return EXIT_OK
 
 
-def _climb(enumerate_at, max_len: int):
-    """Enumerate at growing bounds so a blown cap still yields the forms
-    found below it (partial output plus a warning beats none)."""
-    try:
-        return enumerate_at(max_len), False
-    except EnumerationCapError:
-        pass
-    found = set()
-    for bound in range(max_len):
-        try:
-            found = enumerate_at(bound)
-        except EnumerationCapError:
-            break
-    return found, True
-
-
 def cmd_generate(args, config) -> int:
     cg = compile_grammar(_read_grammar(args.grammar))
     mode = _resolve_mode(args, config)
@@ -196,24 +184,23 @@ def cmd_generate(args, config) -> int:
 
     if mode == "surface":
         cyclic = has_cycle(project_surface(machine))
-
-        def enumerate_at(bound):
-            return surface_strings(machine, max_len=bound)
-
+        enumerate_forms = surface_strings
     else:
         cyclic = has_cycle(machine)
-        al = cg.alphabet
-
-        def enumerate_at(bound):
-            return {
-                " ".join(al.format_label(label.bits) for label in path)
-                for path in enumerate_label_paths(machine, bound)
-            }
-
+        enumerate_forms = enumerate_label_paths
     if cyclic and max_len is None:
         raise _UsageError(f"{args.entry} has an infinite language; pass --max to bound it")
     bound = max_len if max_len is not None else machine.n
-    forms, truncated = _climb(enumerate_at, bound)
+    # one pass: on overflow the error carries every length found below it
+    try:
+        forms, truncated = enumerate_forms(machine, bound), False
+    except EnumerationCapError as err:
+        forms, truncated = err.partial, True
+    if mode == "raw":
+        # each distinct label is formatted once, not once per occurrence
+        labels = {label.bits for path in forms for label in path}
+        text = {bits: cg.alphabet.format_label(bits) for bits in labels}
+        forms = {" ".join([text[label.bits] for label in path]) for path in forms}
     for form in sorted(forms):
         sys.stdout.write(form + "\n")
     if truncated:

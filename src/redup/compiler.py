@@ -13,11 +13,13 @@ nodes instead.  Every other operator, the three enrichments included,
 materializes its operands and is the eager one.  `redup.lazy` is imported
 only when a compile asks for that engine, so eager compiles never load it.
 
-On the eager engine, `closed_interpretation` of an `&` chain is one step:
-the chain's operands are evaluated once each, typed as `&` types them, and
-passed to `close`, which intersects all but the largest openly and joins
-the largest last in one closed product.  A hoisted `&` inside the chain
-counts as one operand.
+`closed_interpretation` of an `&` chain evaluates the chain's operands once
+each, typed as `&` types them, as automata; a hoisted `&` inside the chain
+counts as one operand.  Both engines then join them in `closing_order`:
+the others openly in source order, the one with the most arcs last.  The
+eager engine passes them to `close`, which builds that last join as one
+closed product; the lazy engine builds
+`lazy_close(lazy_intersect(...(lazy_intersect(a, b), ...), largest))`.
 
 Parameter-free subexpressions of parameterised definitions are evaluated
 once per `compile()`: the grammar marks the largest subtrees of each such
@@ -28,6 +30,8 @@ raises again wherever it is reached.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .alphabet import Alphabet
 from . import dsl
@@ -43,7 +47,7 @@ from .fsa import (
     never_fsa,
     trim,
 )
-from .interpret import ProductStats, close, intersect_open
+from .interpret import ProductStats, close, closing_order, intersect_open
 
 _ENRICH_FN = {
     "add_self_loops": add_self_loops,
@@ -358,12 +362,13 @@ class _Evaluator:
         if name in _ENRICH_FN:
             return _ENRICH_FN[name](self.machine(self._one(name, args, env)))
         if name == "closed_interpretation":
+            chain = self._and_operands(self._arg(name, args), env)
+            operands = [self.machine(v) for v in chain]
             if self.engine == "lazy":
                 from .lazy import lazy_close
 
-                return lazy_close(self.lazy(self._one(name, args, env)))
-            operands = self._and_operands(self._arg(name, args), env)
-            return close(*map(self.machine, operands), stats=self.stats)
+                return lazy_close(reduce(lazy_intersect, closing_order(operands)))
+            return close(*operands, stats=self.stats)
         if name == "not_contains":
             v = self._one(name, args, env)
             return not_contains(self.machine(v))

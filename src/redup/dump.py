@@ -41,7 +41,3 @@ def dump_dot(a: Fsa, name: str = "fsa") -> str:
     out.append("}")
     return "\n".join(out) + "\n"
 
-
-def path_display(a: Fsa, labels) -> str:
-    """One raw path in compact notation, e.g. 'w:1+m u:0 repeat repeat'."""
-    return " ".join(a.alphabet.format_label(l.bits) for l in labels)

@@ -37,11 +37,18 @@ class AutomatonError(RedupError):
 
 
 class EnumerationCapError(RedupError):
-    """Language enumeration exceeded its result cap."""
+    """Language enumeration exceeded its result cap.
+
+    `partial` holds what the enumeration found before it overflowed: the
+    results of every path length below the one that overflowed, the same
+    set the largest bound that fits returns.  It is empty on an error built
+    by hand.
+    """
 
     def __init__(self, cap: int):
         super().__init__(f"enumeration exceeded the result cap of {cap}")
         self.cap = cap
+        self.partial = frozenset()
 
 
 class GrammarError(RedupError):

@@ -25,6 +25,14 @@ construction: the product's output, the subset constructions of
 with ``prune``, the backward half of ``trim``, which builds no adjacency.
 Machines built by splicing or filtering arcs (``combine``, ``close`` of one
 machine, ``project_surface``) can have unreachable states and use ``trim``.
+
+The three enumerators (``enumerate_language``, ``enumerate_label_paths``,
+``surface_strings``) share one level-by-level walk over ``out_raw``. They
+differ only in what an arc appends to a path: a symbol index per bit of its
+label, the label itself, or a surface token. A walk that overflows its cap
+raises ``EnumerationCapError`` carrying, as ``partial``, every path length
+it completed, so a caller gets the longest complete prefix of the language
+without walking again.
 """
 
 from __future__ import annotations
@@ -196,7 +204,8 @@ class Fsa(Frozen):
             f"arcs={len(self.raw_arcs)})"
         )
 
-    # Small conveniences used all over the test-suite and CLI.
+    # Per-state views of the Arc form, for callers outside the core
+    # operations, which read out_raw instead.
 
     def out_arcs(self) -> list[list[Arc]]:
         by_src: list[list[Arc]] = [[] for _ in range(self.n)]
@@ -653,6 +662,42 @@ def has_cycle(a: Fsa) -> bool:
     return False
 
 
+def _walk(a: Fsa, max_len: int, cap: int, pieces, empty):
+    """The paths of the accepting runs of at most `max_len` arcs.
+
+    One level-by-level walk serves every enumerator: an arc extends the
+    path that reached its source by each of `pieces(bits, pc)`, called once
+    per distinct label, and a level keeps each (state, path) pair once.
+    More than `cap` paths tracked at once raises EnumerationCapError, whose
+    `partial` holds the paths of the levels completed before the overflow:
+    exactly what the largest bound that does not overflow returns.
+    """
+    out, finals = a.out_raw(), a.finals
+    steps: dict[tuple[int, bool], Iterable] = {}  # label -> its pieces
+    results = set()
+    frontier = {(a.start, empty)}
+    for level in range(max_len + 1):
+        results.update([path for q, path in frontier if q in finals])
+        if level == max_len:
+            break
+        nxt = set()
+        for q, path in frontier:
+            for _s, d, bits, pc in out[q]:
+                extensions = steps.get((bits, pc))
+                if extensions is None:
+                    extensions = steps[bits, pc] = pieces(bits, pc)
+                for piece in extensions:
+                    nxt.add((d, path + piece))
+            if len(nxt) + len(results) > cap:
+                err = EnumerationCapError(cap)
+                err.partial = results
+                raise err
+        if not nxt:
+            break
+        frontier = nxt
+    return results
+
+
 def enumerate_language(
     a: Fsa, max_len: int, cap: int = DEFAULT_ENUM_CAP
 ) -> set[tuple[int, ...]]:
@@ -662,53 +707,17 @@ def enumerate_language(
     fully specified language — use it only over small, mostly singleton-label
     machines. Aborts with EnumerationCapError beyond `cap` tracked paths.
     """
-    out = a.out_raw()
-    results: set[tuple[int, ...]] = set()
-    frontier: set[tuple[int, tuple[int, ...]]] = {(a.start, ())}
-    for _ in range(max_len + 1):
-        for q, path in frontier:
-            if q in a.finals:
-                results.add(path)
-        nxt: set[tuple[int, tuple[int, ...]]] = set()
-        for q, path in frontier:
-            if len(path) == max_len:
-                continue
-            for _s, d, bits, _pc in out[q]:
-                while bits:
-                    low = bits & -bits
-                    nxt.add((d, path + (low.bit_length() - 1,)))
-                    bits ^= low
-            if len(nxt) + len(results) > cap:
-                raise EnumerationCapError(cap)
-        if not nxt:
-            break
-        frontier = nxt
-    return results
+    return _walk(
+        a, max_len, cap,
+        lambda bits, pc: [(i,) for i in range(bits.bit_length()) if bits >> i & 1], (),
+    )
 
 
 def enumerate_label_paths(
     a: Fsa, max_len: int, cap: int = DEFAULT_ENUM_CAP
 ) -> set[tuple[Label, ...]]:
     """All label sequences along accepting paths of length <= max_len."""
-    out = a.out_arcs()
-    results: set[tuple[Label, ...]] = set()
-    frontier: set[tuple[int, tuple[Label, ...]]] = {(a.start, ())}
-    for _ in range(max_len + 1):
-        for q, path in frontier:
-            if q in a.finals:
-                results.add(path)
-        nxt: set[tuple[int, tuple[Label, ...]]] = set()
-        for q, path in frontier:
-            if len(path) == max_len:
-                continue
-            for arc in out[q]:
-                nxt.add((arc.dst, path + (arc.label,)))
-            if len(nxt) + len(results) > cap:
-                raise EnumerationCapError(cap)
-        if not nxt:
-            break
-        frontier = nxt
-    return results
+    return _walk(a, max_len, cap, lambda bits, pc: [(Label(bits, pc),)], ())
 
 
 # ---------------------------------------------------------------------------
@@ -784,29 +793,5 @@ def surface_strings(
                 "surface language is infinite; pass max_len to bound enumeration"
             )
         max_len = p.n  # acyclic: a path revisits no state
-    out = p.out_raw()
     al = p.alphabet
-    tokens: dict[int, list[str]] = {}  # label bits -> its sorted tokens
-    results: set[str] = set()
-    frontier: set[tuple[int, str]] = {(p.start, "")}
-    for _ in range(max_len):
-        for q, s in frontier:
-            if q in p.finals:
-                results.add(s)
-        nxt: set[tuple[int, str]] = set()
-        for q, s in frontier:
-            for _s, d, bits, _pc in out[q]:
-                toks = tokens.get(bits)
-                if toks is None:
-                    toks = tokens[bits] = sorted({sym.char for sym in al.members(bits)})
-                for tok in toks:
-                    nxt.add((d, s + tok))
-            if len(nxt) + len(results) > cap:
-                raise EnumerationCapError(cap)
-        if not nxt:
-            break
-        frontier = nxt
-    for q, s in frontier:
-        if q in p.finals:
-            results.add(s)
-    return results
+    return _walk(p, max_len, cap, lambda bits, pc: {s.char for s in al.members(bits)}, "")

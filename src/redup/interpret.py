@@ -11,6 +11,7 @@ last product rather than after it.
 from __future__ import annotations
 
 from functools import reduce
+from typing import Sequence
 
 from . import _kernel
 from .alphabet import Alphabet
@@ -93,12 +94,20 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
         a = parts[0]
         kept = tuple(arc for arc in a.raw_arcs if arc[3])
         return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
+    *rest, last = closing_order(parts)
+    rest = reduce(lambda x, y: intersect_open(x, y, stats), rest)
+    return _product(rest, last, stats, closed=True)
+
+
+def closing_order(parts: Sequence[Fsa]) -> list[Fsa]:
+    """The operands of a closed intersection in the order `close` joins them.
+
+    The one with the most arcs goes last, and the others keep their order,
+    so the largest operand meets only the closed product.  The lazy engine
+    builds its `closed_interpretation` chains in the same order.
+    """
     last = max(range(len(parts)), key=lambda i: len(parts[i].raw_arcs))
-    rest = reduce(
-        lambda x, y: intersect_open(x, y, stats),
-        [p for i, p in enumerate(parts) if i != last],
-    )
-    return _product(rest, parts[last], stats, closed=True)
+    return [p for i, p in enumerate(parts) if i != last] + [parts[last]]
 
 
 def universal_producer(alphabet: Alphabet) -> Fsa:

@@ -88,6 +88,20 @@ def test_truncation_warning_counts_cap_overflow_as_partial(capsys):
     assert "partial" in err
 
 
+def test_raw_cap_overflow_keeps_every_shorter_path(capsys):
+    code, out, err = run(
+        capsys, "generate", "koasati",
+        "{consumer(t), consumer(a), consumer(h), consumer(s)} *", "--raw", "--max", "9",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    # the 4**9 paths of length 9 overflow the enumeration cap; every path
+    # shorter than that is kept, the empty one included
+    assert len(lines) == sum(4**k for k in range(9))
+    assert all(len(line.split()) < 9 for line in lines)
+    assert "partial" in err
+
+
 def test_max_zero_is_legal(capsys):
     code, out, err = run(
         capsys, "generate", "bambara", "distributive_wulu", "--surface", "--max", "0"

@@ -35,7 +35,7 @@ from redup.fsa import (
     symbol_fsa,
 )
 from redup.interpret import ProductStats, close, intersect_open
-from redup.lazy import LazyFsa, materialize
+from redup.lazy import LazyFsa, materialize, total_expansions
 
 
 def lowest(bits: int) -> int:
@@ -553,3 +553,14 @@ def test_compiled_grammar_keeps_no_machines_after_compile(engine):
     g = load_grammar("koasati")
     assert g.compile("wordform_lexicon", engine=engine) is not None
     assert _machines_reachable_from(g) == []
+
+
+def test_lazy_closed_chain_joins_its_largest_operand_last():
+    # the lazy chain is built in `close`'s order, so its closed product meets
+    # the lexicon only after the small constraints have narrowed it
+    g = load_grammar("koasati")
+    stats = ProductStats()
+    eager = g.compile("wordform_lexicon", stats=stats)
+    lazy = g.compile("wordform_lexicon", engine="lazy")
+    assert canonical(materialize(lazy)) == canonical(eager)
+    assert total_expansions(lazy, kind="intersect") <= stats.visited_pairs

@@ -32,6 +32,7 @@ from redup.fsa import (
     symbol_fsa,
     trim,
 )
+from test_representation import random_fsa
 
 # Fully specified singleton symbols over the `ab` fixture: the first variant
 # of each token (index 0 for a, 12 for b).
@@ -284,6 +285,41 @@ def test_enumerate_cap(ab):
     m = combine("star", [combine("union", [sym(ab, A0), sym(ab, B0)])])
     with pytest.raises(EnumerationCapError):
         enumerate_language(m, 30, cap=100)
+
+
+def test_cap_overflow_carries_the_complete_lengths(ab):
+    m = combine("star", [combine("union", [sym(ab, A0), sym(ab, B0)])])
+    with pytest.raises(EnumerationCapError) as caught:
+        enumerate_language(m, 30, cap=100)
+    # the 64 paths of length 6 and the 63 shorter ones overflow the cap of
+    # 100; the shorter ones are kept
+    assert caught.value.partial == lang(m, 5)
+    assert EnumerationCapError(100).partial == frozenset()
+
+
+def _largest_fitting_bound(enumerate_at, max_len):
+    """What the largest bound below `max_len` that fits the cap returns."""
+    found = set()
+    for bound in range(max_len):
+        try:
+            found = enumerate_at(bound)
+        except EnumerationCapError:
+            break
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cap_overflow_keeps_the_largest_fitting_bound(ab, data):
+    m = random_fsa(ab, data.draw)
+    max_len = data.draw(st.integers(0, 6))
+    cap = data.draw(st.integers(0, 60))
+    for enumerate_at in (enumerate_language, enumerate_label_paths, surface_strings):
+        try:
+            enumerate_at(m, max_len, cap)
+        except EnumerationCapError as err:
+            expected = _largest_fitting_bound(lambda b: enumerate_at(m, b, cap), max_len)
+            assert err.partial == expected, enumerate_at.__name__
 
 
 def test_enumerate_label_paths(ab):

@@ -104,8 +104,16 @@ def random_fsa(al, draw, n_max=5):
         max_size=10,
     ))
     finals = draw(st.sets(st.integers(0, n - 1)))
-    return Fsa(al, n, draw(st.integers(0, n - 1)), finals,
-               [Arc(s, Label(b, pc), d) for s, d, b, pc in arcs])
+    start = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        # a dead state: not final, with no way out, entered by one to three arcs
+        arcs += draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.just(n),
+                      st.sampled_from(labels), st.booleans()),
+            min_size=1, max_size=3,
+        ))
+        n += 1
+    return Fsa(al, n, start, finals, [Arc(s, Label(b, pc), d) for s, d, b, pc in arcs])
 
 
 def every_state_indexed():
