@@ -32,12 +32,12 @@ from .dump import dump_text
 from .errors import EnumerationCapError, RedupError
 from .fsa import (
     Fsa,
+    _projected_strings,
     canonical,
     enumerate_label_paths,
     has_cycle,
     is_empty,
     project_surface,
-    surface_strings,
 )
 from .interpret import close, prepare_parse_input
 
@@ -183,17 +183,17 @@ def cmd_generate(args, config) -> int:
         return EXIT_REJECT
 
     if mode == "surface":
-        cyclic = has_cycle(project_surface(machine))
-        enumerate_forms = surface_strings
+        # projected once: the cycle test and the walk read the same machine
+        walked, enumerate_forms = project_surface(machine), _projected_strings
     else:
-        cyclic = has_cycle(machine)
-        enumerate_forms = enumerate_label_paths
+        walked, enumerate_forms = machine, enumerate_label_paths
+    cyclic = has_cycle(walked)
     if cyclic and max_len is None:
         raise _UsageError(f"{args.entry} has an infinite language; pass --max to bound it")
     bound = max_len if max_len is not None else machine.n
     # one pass: on overflow the error carries every length found below it
     try:
-        forms, truncated = enumerate_forms(machine, bound), False
+        forms, truncated = enumerate_forms(walked, bound), False
     except EnumerationCapError as err:
         forms, truncated = err.partial, True
     if mode == "raw":

@@ -19,9 +19,12 @@ def _dump_order(arc):
 def dump_text(a: Fsa) -> str:
     lines = [f"states {a.n}", f"start {a.start}"]
     lines.append("finals " + " ".join(str(q) for q in sorted(a.finals)))
+    exprs: dict[int, str] = {}  # each distinct label is formatted once
     for src, dst, bits, pc in sorted(a.raw_arcs, key=_dump_order):
         role = "P" if pc else "C"
-        expr = a.alphabet.format_label_expr(bits)
+        expr = exprs.get(bits)
+        if expr is None:
+            expr = exprs[bits] = a.alphabet.format_label_expr(bits)
         lines.append(f"arc {src} {dst} {role} {expr}")
     return "\n".join(lines) + "\n"
 

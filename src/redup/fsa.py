@@ -26,6 +26,11 @@ with ``prune``, the backward half of ``trim``, which builds no adjacency.
 Machines built by splicing or filtering arcs (``combine``, ``close`` of one
 machine, ``project_surface``) can have unreachable states and use ``trim``.
 
+``combine`` builds no epsilon edges: where concatenation, union, star or
+option would enter a part's start state by one, the source takes a copy of
+that state's out-arcs. Only ``project_surface``, which erases technical
+arcs, still builds epsilon edges and removes them with ``_remove_epsilons``.
+
 The three enumerators (``enumerate_language``, ``enumerate_label_paths``,
 ``surface_strings``) share one level-by-level walk over ``out_raw``. They
 differ only in what an arc appends to a path: a symbol index per bit of its
@@ -289,10 +294,23 @@ def build_from_string(
 
 
 def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -> Fsa:
-    """Concatenate/union/star/option automata.
+    """Concatenate/union/star/option automata, without epsilon transitions.
 
-    Built with internal epsilon transitions which are removed before the
-    result is returned; producer/consumer bits of copied arcs are untouched.
+    The parts are laid out side by side, renumbered by offset, with one fresh
+    start state after them. Wherever the textbook construction would run an
+    epsilon edge into a part's start state, its source takes a copy of that
+    start state's out-arcs instead (and its finality, if the start is final):
+    the fresh start for every kind, each final of a concatenated part
+    (chaining on through every following part whose start is final), and the
+    finals of a starred part. A union drops the parts that have no finals
+    first, and a concatenation with such a part is `never_fsa` at once, so
+    `trim` has no dead part to cut out. The result is then trimmed.
+
+    Arcs are copied as they are, producer/consumer bits included. Each state
+    has the arc set it had when `combine` removed epsilon edges with
+    `_remove_epsilons`, but that pass also merged duplicate arcs, and this
+    construction does not: a part's own duplicate arcs survive, as does the
+    second copy a starred final gets of an arc it shares with its start.
     """
     if parts:
         alphabet = parts[0].alphabet
@@ -308,44 +326,67 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
         return empty_string_fsa(alphabet)
     if kind == "union" and not parts:
         return never_fsa(alphabet)
-
-    arcs: list[RawArc] = []
-    eps: list[tuple[int, int]] = []
-    offset = 0
-    placed: list[tuple[int, Fsa]] = []
-    for p in parts:
-        arcs.extend((s + offset, d + offset, b, pc) for s, d, b, pc in p.raw_arcs)
-        placed.append((offset, p))
-        offset += p.n
-    root = offset  # fresh start state
-    n = offset + 1
-    finals: set[int] = set()
-
-    if kind == "concat":
-        eps.append((root, placed[0][0] + placed[0][1].start))
-        for (off_a, pa), (off_b, pb) in zip(placed, placed[1:]):
-            for f in pa.finals:
-                eps.append((off_a + f, off_b + pb.start))
-        off_last, last = placed[-1]
-        finals = {off_last + f for f in last.finals}
-    elif kind == "union":
-        for off, p in placed:
-            eps.append((root, off + p.start))
-            finals |= {off + f for f in p.finals}
-    elif kind == "star":
-        off, p = placed[0]
-        eps.append((root, off + p.start))
-        for f in p.finals:
-            eps.append((off + f, root))
-        finals = {root}
-    elif kind == "optional":
-        off, p = placed[0]
-        eps.append((root, off + p.start))
-        finals = {off + f for f in p.finals} | {root}
-    else:
+    if kind not in ("concat", "union", "star", "optional"):
         raise AutomatonError(f"unknown combine kind {kind!r}")
+    if kind == "union":
+        parts = [p for p in parts if p.finals]
+        if not parts:
+            return never_fsa(alphabet)
+    elif kind == "concat" and not all(p.finals for p in parts):
+        return never_fsa(alphabet)
 
-    return trim(_remove_epsilons(alphabet, n, root, finals, arcs, eps))
+    # one int object per state id, shared by every arc that names it
+    ids = list(range(sum(p.n for p in parts) + 1))
+    root = ids[-1]  # the fresh start state
+    arcs: list[RawArc] = []
+    heads: list[list[tuple[int, int, bool]]] = []  # per part: its start's out-arcs
+    part_finals: list[list[int]] = []
+    offset = 0
+    for p in parts:
+        loc = ids[offset:offset + p.n]
+        raw, start = p.raw_arcs, p.start
+        arcs.extend(raw if not offset else [(loc[s], loc[d], b, pc) for s, d, b, pc in raw])
+        heads.append([(loc[d], b, pc) for s, d, b, pc in raw if s == start])
+        part_finals.append([loc[q] for q in p.finals])
+        offset += p.n
+
+    def splice(q: int, head: list[tuple[int, int, bool]]) -> None:
+        arcs.extend([(q, d, b, pc) for d, b, pc in head])
+
+    finals: list[int] = []
+    if kind == "concat":
+        # Walking back from the end: `after` is what an epsilon edge into the
+        # next part would bring, and `nullable` whether it reaches a final.
+        after: list[tuple[int, int, bool]] = []
+        nullable = True
+        for p, head, part_f in zip(reversed(parts), reversed(heads), reversed(part_finals)):
+            for f in part_f:
+                splice(f, after)
+            if nullable:
+                finals.extend(part_f)
+            if p.start in p.finals:
+                after = head + after
+            else:
+                after, nullable = head, False
+        splice(root, after)
+        if nullable:
+            finals.append(root)
+    elif kind == "union":
+        for head, part_f in zip(heads, part_finals):
+            splice(root, head)
+            finals.extend(part_f)
+        if any(p.start in p.finals for p in parts):
+            finals.append(root)
+    else:  # star or optional
+        head, finals = heads[0], part_finals[0] + [root]
+        splice(root, head)
+        if kind == "star":
+            start = ids[parts[0].start]
+            for f in part_finals[0]:
+                if f != start:
+                    splice(f, head)
+
+    return trim(Fsa.from_raw(alphabet, len(ids), root, frozenset(finals), tuple(arcs)))
 
 
 def _remove_epsilons(
@@ -786,7 +827,14 @@ def surface_strings(
     interpretation) the result is the complete finite language; otherwise
     max_len must be given to bound the walk.
     """
-    p = project_surface(a)
+    return _projected_strings(project_surface(a), max_len, cap)
+
+
+def _projected_strings(p: Fsa, max_len: int | None, cap: int = DEFAULT_ENUM_CAP) -> set[str]:
+    """`surface_strings` of a machine `project_surface` has already built.
+
+    The CLI projects once, to test the surface for a cycle and to enumerate.
+    """
     if max_len is None:
         if has_cycle(p):
             raise AutomatonError(

@@ -49,6 +49,24 @@ def test_generate_is_byte_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("bound", ([], ["--max", "12"]))
+def test_surface_generate_projects_once(capsys, monkeypatch, bound):
+    import redup.cli
+    import redup.fsa
+
+    calls = []
+
+    def counted(machine, project=redup.fsa.project_surface):
+        calls.append(machine)
+        return project(machine)
+
+    monkeypatch.setattr(redup.fsa, "project_surface", counted)
+    monkeypatch.setattr(redup.cli, "project_surface", counted)
+    code, out, _err = run(capsys, "generate", "koasati", "wordform_lexicon", *bound)
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
 def test_generate_of_an_empty_language_exits_one(capsys):
     code, out, err = run(
         capsys, "generate", "koasati", 'wordform(stem([], "tata"))', "--surface"
