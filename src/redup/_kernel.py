@@ -12,6 +12,10 @@ makes a parse's product cost follow the arcs that match rather than that
 fan-out. The index of a state is built the first time a product visits it
 and kept in the dict the caller passes, which ``Fsa.label_index`` caches on
 the machine, so a compiled lexicon builds it once for every query.
+
+``coreachable`` is the backward half of a closed product: it finds the
+pairs that reach a pair of finals, and ``product`` given that set enters no
+other pair, so a closed product comes out trim.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ def product(
     closed: bool = False,
     index_a: dict[int, Groups] | None = None,
     index_b: dict[int, Groups] | None = None,
+    live: set[int] | None = None,
 ) -> tuple[int, int, list[int], list[tuple[int, int, int, bool]], int]:
     """Reachable pair-product of two machines given by their out-adjacency.
 
@@ -59,6 +64,17 @@ def product(
     neither of which is a producer makes no arc, so only pairs reachable
     over producer arcs are discovered.  Trimming the result gives the closed
     interpretation of the open product.
+
+    ``live``, when given, holds the keys (``qa * n_b + qb``) of the pairs
+    that may be entered, and must hold the start pair: a pair not in it is
+    never entered and gets no arc, and visited_pairs counts only the pairs
+    entered.  With the ``coreachable`` set of a closed product, the result
+    is that product already trimmed: every successor of a dead pair is
+    dead, so the live pairs are discovered, numbered and expanded in the
+    order the unrestricted product gives them, and its arcs between them
+    come out in the same order.  Membership is tested only when a key is
+    first seen, so the unrestricted product pays one ``None`` test per
+    pair.
 
     ``index_a`` and ``index_b`` cache the label index of each side's
     high-fan-out states across calls (see ``Fsa.label_index``). States,
@@ -93,6 +109,8 @@ def product(
                         key = base + db
                         tid = pair_id.get(key)
                         if tid is None:
+                            if live is not None and key not in live:
+                                continue
                             tid = len(pair_id)
                             pair_id[key] = tid
                             todo.append(key)
@@ -112,11 +130,57 @@ def product(
             key = da * n_b + db
             tid = pair_id.get(key)
             if tid is None:
+                if live is not None and key not in live:
+                    continue
                 tid = len(pair_id)
                 pair_id[key] = tid
                 todo.append(key)
             arcs.append((sid, tid, ba & bb, pa or pb))
     return len(pair_id), 0, finals, arcs, len(pair_id)
+
+
+def coreachable(
+    n_a: int,
+    finals_a: frozenset[int],
+    arcs_a: Sequence[tuple[int, int, int, bool]],
+    n_b: int,
+    finals_b: frozenset[int],
+    arcs_b: Sequence[tuple[int, int, int, bool]],
+) -> set[int]:
+    """Keys (``qa * n_b + qb``) of the pairs that reach a final pair closed.
+
+    Walks back from every (final, final) pair over both machines' in-arcs,
+    pairing them by the closed product's rule: labels overlap and at least
+    one arc is a producer.  So a pair is in the result iff some path of the
+    closed product leads from it to a final pair, whether or not the start
+    pair reaches it; ``product(..., closed=True, live=...)`` then enters
+    only these.  The in-adjacency is built here from the raw arcs and not
+    kept; the second machine's is also kept split by producer arcs, which
+    are all a consumer arc of the first can pair with.
+    """
+    in_a: list[list[tuple[int, int, bool]]] = [[] for _ in range(n_a)]
+    for s, d, b, pc in arcs_a:
+        in_a[d].append((s * n_b, b, pc))
+    in_b: list[list[tuple[int, int]]] = [[] for _ in range(n_b)]
+    producers_in_b: list[list[tuple[int, int]]] = [[] for _ in range(n_b)]
+    for s, d, b, pc in arcs_b:
+        in_b[d].append((s, b))
+        if pc:
+            producers_in_b[d].append((s, b))
+    todo = [fa * n_b + fb for fa in finals_a for fb in finals_b]
+    live = set(todo)
+    while todo:
+        qa, qb = divmod(todo.pop(), n_b)
+        any_b = in_b[qb]
+        producer_b = producers_in_b[qb]
+        for base, ba, pa in in_a[qa]:
+            for sb, bb in any_b if pa else producer_b:
+                if ba & bb:
+                    key = base + sb
+                    if key not in live:
+                        live.add(key)
+                        todo.append(key)
+    return live
 
 
 def _groups(index: dict[int, Groups], q: int, succ, fanout: int) -> Groups:

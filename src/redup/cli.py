@@ -39,7 +39,7 @@ from .fsa import (
     is_empty,
     project_surface,
 )
-from .interpret import close, prepare_parse_input
+from .interpret import close, intersect_open, prepare_parse_input
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -222,7 +222,10 @@ def cmd_parse(args, config) -> int:
         empty = is_empty_lazy(lazy_close(lazy_intersect(machine, parse_input)))
     else:
         machine = cg.compile(args.entry)
-        empty = is_empty(close(machine, parse_input))
+        # two steps: a fused close(machine, chain) would walk back from
+        # every final of the machine, where the open product follows only
+        # what the chain reaches
+        empty = is_empty(close(intersect_open(machine, parse_input)))
     sys.stdout.write("REJECT\n" if empty else "ACCEPT\n")
     return EXIT_REJECT if empty else EXIT_OK
 

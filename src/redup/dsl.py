@@ -161,10 +161,26 @@ class Rule(NamedTuple):
     context: object
 
 
+# After a leaf token, a punct that may extend the expression it starts (a
+# call's argument list, a postfix, `&` or a rule arrow).  Before any other
+# token the leaf is a whole expression.
+_CONTINUES = frozenset({"(", "*", "^", "&", "-->"})
+_LEAVES = {"string": Str, "qname": Quoted, "var": Var, "name": Name}
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    Per token it keeps the punct text (None for other tokens), so `at` is
+    one list index and no token attribute lookup, and `expr` returns a leaf
+    followed by a token that cannot extend it without descending through
+    the precedence levels.
+    """
+
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.punct = [t.text if t.kind == "punct" else None for t in toks]
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -175,17 +191,23 @@ class _Parser:
         return t
 
     def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.kind == "punct" and t.text == text:
+        pos = self.pos
+        self.pos = pos + 1
+        t = self.toks[pos]
+        if self.punct[pos] == text:
             return t
         raise GrammarError(f"expected {text!r}, found {t.text or t.kind!r}", t.line, t.col)
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+        return self.punct[self.pos] == text
 
     # expr := and ('-->' '(' expr '/' expr ')')?
     def expr(self):
+        pos = self.pos
+        leaf = _LEAVES.get(self.toks[pos].kind)
+        if leaf is not None and self.punct[pos + 1] not in _CONTINUES:
+            self.pos = pos + 1
+            return leaf(self.toks[pos].text)
         left = self.and_expr()
         if self.at("-->"):
             self.next()
@@ -212,22 +234,25 @@ class _Parser:
 
     def postfix(self):
         node = self.primary()
+        punct = self.punct
         while True:
-            if self.at("*"):
-                self.next()
+            p = punct[self.pos]
+            if p == "*":
+                self.pos += 1
                 node = Star(node)
-            elif self.at("^"):
-                self.next()
+            elif p == "^":
+                self.pos += 1
                 node = Opt(node)
             else:
                 return node
 
     def seq(self, closer: str) -> tuple:
         items = []
-        if not self.at(closer):
+        punct = self.punct
+        if punct[self.pos] != closer:
             items.append(self.expr())
-            while self.at(","):
-                self.next()
+            while punct[self.pos] == ",":
+                self.pos += 1
                 items.append(self.expr())
         self.expect(closer)
         return tuple(items)
@@ -252,8 +277,8 @@ class _Parser:
         if t.kind == "var":
             return Var(t.text)
         if t.kind == "name":
-            if self.at("("):
-                self.next()
+            if self.punct[self.pos] == "(":
+                self.pos += 1
                 return Call(t.text, self.seq(")"))
             return Name(t.text)
         raise GrammarError("unexpected end of input", t.line, t.col)

@@ -5,7 +5,8 @@ producer on either side licenses the combined arc while unmatched consumer
 demands stay pending. Closing settles the account: arcs still marked
 consumer never found a producer and are deleted.  Closing an intersection
 is one step, `close(a, b, ...)`, which drops those arcs while it builds the
-last product rather than after it.
+last product rather than after it, and enters only the pairs from which a
+final pair can still be reached.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Fsa, prune, trim
+from .fsa import Fsa, never_fsa, prune, trim
 
 
 class ProductStats:
@@ -59,21 +60,38 @@ class ProductStats:
         self.per_call.append(visited)
 
 
-def _product(a: Fsa, b: Fsa, stats: ProductStats | None, closed: bool) -> Fsa:
+def _same_alphabet(a: Fsa, b: Fsa) -> None:
     if a.alphabet != b.alphabet:
         raise AutomatonError("intersection over mismatched alphabets")
+
+
+def _product(a: Fsa, b: Fsa, closed: bool, live: set[int] | None) -> tuple[Fsa, int]:
     n, start, finals, arcs, visited = _kernel.product(
         a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
-        a.label_index(), b.label_index(),
+        a.label_index(), b.label_index(), live,
     )
-    if stats is not None:
-        stats.record(visited)
-    return prune(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+    return Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)), visited
 
 
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Pairwise product with label intersection and producer-dominant pc."""
-    return _product(a, b, stats, closed=False)
+    _same_alphabet(a, b)
+    m, visited = _product(a, b, False, None)
+    if stats is not None:
+        stats.record(visited)
+    return prune(m)
+
+
+def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
+    """Backward first: the forward pass enters only co-reachable pairs, so
+    the result is already trim."""
+    _same_alphabet(a, b)
+    live = _kernel.coreachable(a.n, a.finals, a.raw_arcs, b.n, b.finals, b.raw_arcs)
+    if stats is not None:
+        stats.record(len(live))
+    if a.start * b.n + b.start not in live:
+        return never_fsa(a.alphabet)
+    return _product(a, b, True, live)[0]
 
 
 def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
@@ -83,10 +101,23 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
     one machine.  With several parts, all but the one with the most arcs
     are intersected openly in the order given, and that largest part joins
     last, in one closed product: arc pairs with no producer on either side
-    are never built, so the states only they reach are never visited.  Open
-    intersection is associative and commutative, so the result is
-    `close(reduce(intersect_open, parts))` up to state numbering.  `stats`
-    counts every product run.
+    are never built.  That product is built backward first: a walk back
+    from the pairs of finals over both operands' in-arcs finds the pairs
+    that can still reach a final (`_kernel.coreachable`), and the forward
+    product enters only those, so it builds the trim machine directly and
+    needs no trim after it.  The result is byte-identical to trimming the
+    unrestricted closed product, and equals `close(reduce(intersect_open,
+    parts))` up to state numbering, since open intersection is associative
+    and commutative.
+
+    `stats` counts every product run; for the closed one it records the
+    pairs the backward walk found, a superset of the pairs entered.
+
+    The backward walk starts from every pair of finals, so it suits two
+    operands that both end in few finals, or a closed product most of whose
+    pairs are dead.  It is the wrong direction for a short chain against a
+    large machine, such as a parse: `close(intersect_open(machine, chain))`
+    explores only what the chain reaches from its start.
     """
     if not parts:
         raise TypeError("close() needs at least one automaton")
@@ -96,7 +127,7 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
         return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
     *rest, last = closing_order(parts)
     rest = reduce(lambda x, y: intersect_open(x, y, stats), rest)
-    return _product(rest, last, stats, closed=True)
+    return _closed_product(rest, last, stats)
 
 
 def closing_order(parts: Sequence[Fsa]) -> list[Fsa]:

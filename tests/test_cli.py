@@ -145,6 +145,54 @@ def test_parse_table(capsys, grammar, entry, surface, code):
     assert out == ("ACCEPT\n" if code == 0 else "REJECT\n")
 
 
+@pytest.mark.parametrize("flags", [(), ("--eager",), ("--lazy",)])
+@pytest.mark.parametrize("grammar,entry,surface,code", PARSE_TABLE)
+def test_eager_parse_is_an_open_product_then_a_one_part_close(
+    capsys, monkeypatch, flags, grammar, entry, surface, code
+):
+    """The parse step runs `close(intersect_open(machine, chain))`, as the
+    benchmark's parse stream does, and never a closed product: a fused
+    `close(machine, chain)` would walk back from every final of the lexicon."""
+    import redup._kernel
+    import redup.cli
+    import redup.compiler
+
+    events = []
+
+    def spy(name, fn, note=lambda *a, **k: None):
+        def wrapped(*args, **kwargs):
+            events.append((name, note(*args, **kwargs)))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    compile_ = redup.compiler.CompiledGrammar.compile
+
+    def compiled(*args, **kwargs):
+        machine = compile_(*args, **kwargs)
+        events.append(("compiled", None))
+        return machine
+
+    monkeypatch.setattr(redup.compiler.CompiledGrammar, "compile", compiled)
+    monkeypatch.setattr(redup.cli, "close", spy("close", redup.cli.close, lambda *p: len(p)))
+    monkeypatch.setattr(redup.cli, "intersect_open", spy("open", redup.cli.intersect_open))
+    monkeypatch.setattr(
+        redup._kernel, "product",
+        spy("product", redup._kernel.product, lambda *a, **k: a[8] if len(a) > 8 else False),
+    )
+    monkeypatch.setattr(
+        redup._kernel, "coreachable", spy("coreachable", redup._kernel.coreachable)
+    )
+    got, out, _ = run(capsys, "parse", grammar, entry, surface, *flags)
+    assert got == code
+    assert out == ("ACCEPT\n" if code == 0 else "REJECT\n")
+    parse_step = events[len(events) - events[::-1].index(("compiled", None)):]
+    if flags == ("--lazy",):
+        assert parse_step == []
+    else:
+        assert parse_step == [("open", None), ("product", False), ("close", 1)]
+
+
 def test_parse_rejects_unknown_tokens_as_usage(capsys):
     expected = "redup: cannot tokenize 'tahasxopin': no inventory token matches at offset 5\n"
     for flags in ((), ("--eager",), ("--lazy",)):

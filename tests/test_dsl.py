@@ -25,6 +25,7 @@ from redup.dsl import (
     parse_grammar,
     tokenize_source,
 )
+from redup.dsl import BUILTIN_NAMES, Grammar, Macro
 from redup.errors import GrammarError
 
 
@@ -227,6 +228,225 @@ def test_trailing_input_rejected():
 def test_missing_close_paren():
     with pytest.raises(GrammarError, match="expected"):
         parse_expression("f(a")
+
+
+# -- the parser against a reference --------------------------------------------
+
+
+class _ReferenceParser:
+    """The parser as it was before its per-token punct list and leaf fast
+    path: every lookahead goes through `peek`, `at` and `next`."""
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, text):
+        t = self.next()
+        if t.kind == "punct" and t.text == text:
+            return t
+        raise GrammarError(f"expected {text!r}, found {t.text or t.kind!r}", t.line, t.col)
+
+    def at(self, text):
+        t = self.peek()
+        return t.kind == "punct" and t.text == text
+
+    def expr(self):
+        left = self.and_expr()
+        if self.at("-->"):
+            self.next()
+            self.expect("(")
+            outcome = self.expr()
+            self.expect("/")
+            context = self.expr()
+            self.expect(")")
+            return Rule(left, outcome, context)
+        return left
+
+    def and_expr(self):
+        node = self.unary()
+        while self.at("&"):
+            self.next()
+            node = And(node, self.unary())
+        return node
+
+    def unary(self):
+        if self.at("~"):
+            self.next()
+            return Not(self.unary())
+        return self.postfix()
+
+    def postfix(self):
+        node = self.primary()
+        while True:
+            if self.at("*"):
+                self.next()
+                node = Star(node)
+            elif self.at("^"):
+                self.next()
+                node = Opt(node)
+            else:
+                return node
+
+    def seq(self, closer):
+        items = []
+        if not self.at(closer):
+            items.append(self.expr())
+            while self.at(","):
+                self.next()
+                items.append(self.expr())
+        self.expect(closer)
+        return tuple(items)
+
+    def primary(self):
+        t = self.next()
+        if t.kind == "punct":
+            if t.text == "(":
+                node = self.expr()
+                self.expect(")")
+                return node
+            if t.text == "[":
+                items = self.seq("]")
+                return Empty() if not items else Concat(items)
+            if t.text == "{":
+                return Union(self.seq("}"))
+            raise GrammarError(f"unexpected {t.text!r}", t.line, t.col)
+        if t.kind == "string":
+            return Str(t.text)
+        if t.kind == "qname":
+            return Quoted(t.text)
+        if t.kind == "var":
+            return Var(t.text)
+        if t.kind == "name":
+            if self.at("("):
+                self.next()
+                return Call(t.text, self.seq(")"))
+            return Name(t.text)
+        raise GrammarError("unexpected end of input", t.line, t.col)
+
+
+def _reference_parse_expression(src):
+    p = _ReferenceParser(tokenize_source(src))
+    node = p.expr()
+    tail = p.peek()
+    if tail.kind != "eof":
+        raise GrammarError(f"trailing input {tail.text!r}", tail.line, tail.col)
+    return node
+
+
+def _reference_parse_grammar(src):
+    p = _ReferenceParser(tokenize_source(src))
+    inventory = []
+    macros = {}
+    while p.peek().kind != "eof":
+        t = p.next()
+        if t.kind == "name" and t.text == "segment":
+            fields = []
+            while not p.at("."):
+                ft = p.next()
+                if ft.kind not in ("name", "var"):
+                    raise GrammarError(
+                        f"bad token {ft.text or ft.kind!r} in segment declaration",
+                        ft.line, ft.col,
+                    )
+                fields.append(ft.text)
+            p.expect(".")
+            if len(fields) < 2:
+                raise GrammarError(
+                    "segment declaration needs a token and vowel/consonant", t.line, t.col
+                )
+            inventory.append((fields[0], fields[1], tuple(fields[2:])))
+            continue
+        if t.kind != "name":
+            raise GrammarError(
+                f"expected a definition, found {t.text or t.kind!r}", t.line, t.col
+            )
+        if t.text in BUILTIN_NAMES or t.text == "segment":
+            raise GrammarError(f"cannot redefine {t.text!r}", t.line, t.col)
+        params = ()
+        if p.at("("):
+            p.next()
+            names = []
+            while not p.at(")"):
+                pt = p.next()
+                if pt.kind != "var":
+                    raise GrammarError("macro parameters must be capitalized", pt.line, pt.col)
+                names.append(pt.text)
+                if p.at(","):
+                    p.next()
+            p.expect(")")
+            if len(set(names)) != len(names):
+                raise GrammarError("duplicate macro parameter", t.line, t.col)
+            params = tuple(names)
+        p.expect(":=")
+        body = p.expr()
+        p.expect(".")
+        if t.text in macros:
+            raise GrammarError(f"{t.text!r} is defined twice", t.line, t.col)
+        macros[t.text] = Macro(params, body, t.line)
+    return Grammar(tuple(inventory), macros)
+
+
+def _parsed(parse, src):
+    """The result's repr, which names every node's class (AST nodes are
+    tuples, so `Name("a") == Str("a")`), or the error's message, line and
+    column."""
+    try:
+        return repr(parse(src))
+    except GrammarError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+# Grammar-shaped token soup: every punct, names, variables, strings, quoted
+# names, the `segment` keyword and builtins, so that both well-formed and
+# broken definitions, segment rows and expressions come up.
+_WORDS = ["a", "b", "seg_1", "X", "Noun", "segment", "producer", "stem", "vowel",
+          '"wu"', '""', "':1'", "%c\n", "\n"]
+_PUNCTS = [":=", "-->", "(", ")", "[", "]", "{", "}", ",", "&", "~", "*", "^", "/", "."]
+_GRAMMARS = st.lists(st.sampled_from(_WORDS + _PUNCTS), max_size=40).map(" ".join)
+_DEFINITIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["x", "y", "f(X)", "g(X, Y)", "segment", "h(x)", "k(X, X)"]),
+        _GRAMMARS,
+    ).map(lambda d: f"{d[0]} := {d[1]}."),
+    max_size=4,
+).map("\n".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_GRAMMARS, _DEFINITIONS))
+def test_parser_matches_the_reference_on_token_soup(src):
+    assert _parsed(parse_grammar, src) == _parsed(_reference_parse_grammar, src)
+    assert _parsed(parse_expression, src) == _parsed(_reference_parse_expression, src)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "", "a", "a b", "a *", "a ^ * ^", "~ ~ a", "a & b & c", "f(a, b", "f()", "f(",
+        "[a, ]", "{a}", "{}", "[]", "a --> (b / c)", "a --> (b c)", "\"s\"(a)",
+        "'q' * & X", "X(a)", "(a)", "(a", ")", "a -->", "segment a.", "segment a vowel",
+        "x := a", "x := .", "x(Y := a.", "x(Y,) := a.", "x := a b.", "%only",
+    ],
+)
+def test_parser_matches_the_reference_on_edge_cases(src):
+    assert _parsed(parse_grammar, src) == _parsed(_reference_parse_grammar, src)
+    assert _parsed(parse_expression, src) == _parsed(_reference_parse_expression, src)
+
+
+@pytest.mark.parametrize("name", GRAMMAR_NAMES)
+def test_parser_matches_the_reference_on_packaged_grammars(name):
+    src = grammar_source(name)
+    assert _parsed(parse_grammar, src) == _parsed(_reference_parse_grammar, src)
+    assert repr(parse_grammar(src)).count("(") > 100
 
 
 # -- grammar files ---------------------------------------------------------------
