@@ -16,6 +16,11 @@ the machine, so a compiled lexicon builds it once for every query.
 ``coreachable`` is the backward half of a closed product: it finds the
 pairs that reach a pair of finals, and ``product`` given that set enters no
 other pair, so a closed product comes out trim.
+
+Without that set, ``product`` skips dead-end pairs, whose two states'
+out-labels do not overlap and which are not both final: a trim would
+delete them, and a parse's product against a lexicon enters about half
+the pairs it would otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ def product(
     index_a: dict[int, Groups] | None = None,
     index_b: dict[int, Groups] | None = None,
     live: set[int] | None = None,
+    bits_a: Sequence[int] | None = None,
+    bits_b: Sequence[int] | None = None,
 ) -> tuple[int, int, list[int], list[tuple[int, int, int, bool]], int]:
     """Reachable pair-product of two machines given by their out-adjacency.
 
@@ -57,7 +64,7 @@ def product(
     iff their labels overlap; the result arc gets the label intersection and
     the OR of the pc bits. Returns (n_states, start, finals, arcs,
     visited_pairs): arcs are (src, dst, label_bits, pc) tuples, and
-    visited_pairs counts the distinct state pairs discovered — the work
+    visited_pairs counts the distinct state pairs entered — the work
     measure used to compare engines.
 
     With ``closed`` the product is closed as it is built: a pair of arcs
@@ -73,8 +80,16 @@ def product(
     dead, so the live pairs are discovered, numbered and expanded in the
     order the unrestricted product gives them, and its arcs between them
     come out in the same order.  Membership is tested only when a key is
-    first seen, so the unrestricted product pays one ``None`` test per
-    pair.
+    first seen.
+
+    Without ``live``, a pair is entered only if it is not a dead end: the
+    labels leaving its two states overlap (``bits_a[qa] & bits_b[qb]``) or
+    both states are final. A dead end has no out-arc and is not final, so a
+    trim would delete it; the pairs a trim keeps, and their arcs, come out
+    in the same order as without the rule, so ``prune`` of the result is the
+    same machine. ``bits_a`` and ``bits_b`` hold the OR of each state's
+    out-arc labels (``Fsa.out_bits``) and must be given when ``live`` is
+    not; with ``live`` they are not read.
 
     ``index_a`` and ``index_b`` cache the label index of each side's
     high-fan-out states across calls (see ``Fsa.label_index``). States,
@@ -109,7 +124,11 @@ def product(
                         key = base + db
                         tid = pair_id.get(key)
                         if tid is None:
-                            if live is not None and key not in live:
+                            if live is None:
+                                if not (bits_a[da] & bits_b[db]
+                                        or da in finals_a and db in finals_b):
+                                    continue
+                            elif key not in live:
                                 continue
                             tid = len(pair_id)
                             pair_id[key] = tid
@@ -130,7 +149,10 @@ def product(
             key = da * n_b + db
             tid = pair_id.get(key)
             if tid is None:
-                if live is not None and key not in live:
+                if live is None:
+                    if not (bits_a[da] & bits_b[db] or da in finals_a and db in finals_b):
+                        continue
+                elif key not in live:
                     continue
                 tid = len(pair_id)
                 pair_id[key] = tid

@@ -13,8 +13,10 @@ for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
 A third cache, ``label_index``, holds the product kernel's label index:
 the arcs of each state with many out-arcs grouped by label (see
-``_kernel``). None of the caches takes part in equality, hashing, pickling
-or copies.
+``_kernel``), and a fourth, ``out_bits``, the OR of each state's out-arc
+labels, with which the kernel skips dead-end pairs. None of the caches,
+nor the trim mark below, takes part in equality, hashing, pickling or
+copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``.
@@ -25,6 +27,9 @@ construction: the product's output, the subset constructions of
 with ``prune``, the backward half of ``trim``, which builds no adjacency.
 Machines built by splicing or filtering arcs (``combine``, ``close`` of one
 machine, ``project_surface``) can have unreachable states and use ``trim``.
+``trim`` and ``prune`` mark what they return as trim, as does the closed
+product of ``interpret.close``, and return a marked machine at once;
+``is_empty`` answers it without a walk.
 
 ``combine`` builds no epsilon edges: where concatenation, union, star or
 option would enter a part's start state by one, the source takes a copy of
@@ -75,7 +80,8 @@ class Fsa(Frozen):
     """
 
     __slots__ = (
-        "alphabet", "n", "start", "finals", "raw_arcs", "_arcs", "_out", "_index", "_hash"
+        "alphabet", "n", "start", "finals", "raw_arcs",
+        "_arcs", "_out", "_index", "_bits", "_trim", "_hash",
     )
 
     def __init__(
@@ -179,6 +185,20 @@ class Fsa(Frozen):
             _set(self, "_index", index)
         return index
 
+    def out_bits(self) -> list[int]:
+        """Per state, the OR of the labels of the arcs leaving it (0 if none).
+
+        Built on first use and cached like the adjacency, for the product
+        kernel's dead-end test; read it and never mutate it.
+        """
+        bits = self._bits
+        if bits is None:
+            bits = [0] * self.n
+            for s, _d, b, _pc in self.raw_arcs:
+                bits[s] |= b
+            _set(self, "_bits", bits)
+        return bits
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -237,6 +257,8 @@ def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
     _set(m, "_arcs", arcs)
     _set(m, "_out", None)
     _set(m, "_index", None)
+    _set(m, "_bits", None)
+    _set(m, "_trim", False)
     _set(m, "_hash", None)
 
 
@@ -284,9 +306,8 @@ def build_from_string(
                     f"attribute spec empties token {tok!r} at position {i}"
                 )
         arcs.append((i, i + 1, bits, pc))
-    return Fsa.from_raw(
-        alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs), check=True
-    )
+    # Every label is a non-empty subset of a token's mask: nothing to validate.
+    return Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +455,11 @@ def _remove_epsilons(
 def trim(a: Fsa) -> Fsa:
     """Keep only states on some start-to-final path (canonical empty if none).
 
-    Returns `a` itself when every state is live.
+    Returns `a` itself when every state is live, at once when `a` is marked
+    trim, and marks what it returns.
     """
+    if a._trim:
+        return a
     if not a.finals:
         return never_fsa(a.alphabet)
     out = a.out_raw()
@@ -457,6 +481,8 @@ def prune(a: Fsa) -> Fsa:
     construction, a lazy materialization) is reachable by construction, so
     only the backward pass runs, and no adjacency is built or cached.
     """
+    if a._trim:
+        return a
     if not a.finals:
         return never_fsa(a.alphabet)
     return _keep_coreachable(a, None)
@@ -466,6 +492,8 @@ def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
     """Keep the states that reach a final, among those marked in `fwd`.
 
     `fwd` marks the states reachable from the start; None means all are.
+    The machine returned, unless it is the canonical empty one, is marked
+    trim.
     """
     n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
     # Walking back over arcs out of reachable states only, every state found
@@ -492,6 +520,7 @@ def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
         return never_fsa(a.alphabet)
     kept = keep.count(1)
     if kept == n:
+        _set(a, "_trim", True)
         return a
     remap = [-1] * n
     i = 0
@@ -504,8 +533,10 @@ def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
         for s, d, b, pc in raw
         if (rs := remap[s]) >= 0 and (rd := remap[d]) >= 0
     ])
-    return Fsa.from_raw(a.alphabet, kept, remap[start],
-                        frozenset(remap[q] for q in finals if keep[q]), arcs)
+    m = Fsa.from_raw(a.alphabet, kept, remap[start],
+                     frozenset(remap[q] for q in finals if keep[q]), arcs)
+    _set(m, "_trim", True)
+    return m
 
 
 def label_atoms(labels: Iterable[int]) -> list[int]:
@@ -650,6 +681,8 @@ def language_equal(a: Fsa, b: Fsa) -> bool:
 
 
 def is_empty(a: Fsa) -> bool:
+    if a._trim:  # its start is on a path to a final
+        return False
     out = a.out_raw()
     seen = {a.start}
     stack = [a.start]

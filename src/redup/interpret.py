@@ -17,16 +17,20 @@ from typing import Sequence
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Fsa, never_fsa, prune, trim
+from .fsa import Fsa, _set, never_fsa, prune, trim
 
 
 class ProductStats:
     """Work counters accumulated across the products of intersect_open and close.
 
-    Passed to `CompiledGrammar.compile`, it sees each product the compile
-    runs, the closed product of a `closed_interpretation` included.  A
-    product in a parameter-free part of a parameterised definition runs, and
-    is counted, once per compile however often the definition is called.
+    `per_call` holds one count per product: for an open product the pairs
+    it entered, which leaves out the dead-end pairs it skips (see
+    `_kernel.product`), and for a closed product the pairs its backward
+    walk found.  Passed to `CompiledGrammar.compile`, it sees each product
+    the compile runs, the closed product of a `closed_interpretation`
+    included.  A product in a parameter-free part of a parameterised
+    definition runs, and is counted, once per compile however often the
+    definition is called.
     Equal by value and unhashable, as a mutable record should be.
     """
 
@@ -66,15 +70,21 @@ def _same_alphabet(a: Fsa, b: Fsa) -> None:
 
 
 def _product(a: Fsa, b: Fsa, closed: bool, live: set[int] | None) -> tuple[Fsa, int]:
+    # `live` takes the place of the dead-end test, so a closed product builds no masks
+    bits_a, bits_b = (a.out_bits(), b.out_bits()) if live is None else (None, None)
     n, start, finals, arcs, visited = _kernel.product(
         a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
-        a.label_index(), b.label_index(), live,
+        a.label_index(), b.label_index(), live, bits_a, bits_b,
     )
     return Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)), visited
 
 
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
-    """Pairwise product with label intersection and producer-dominant pc."""
+    """Pairwise product with label intersection and producer-dominant pc.
+
+    The product skips dead-end pairs (see `_kernel.product`), so `stats`
+    counts only the pairs it enters; the result is the same trim machine.
+    """
     _same_alphabet(a, b)
     m, visited = _product(a, b, False, None)
     if stats is not None:
@@ -91,17 +101,21 @@ def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
         stats.record(len(live))
     if a.start * b.n + b.start not in live:
         return never_fsa(a.alphabet)
-    return _product(a, b, True, live)[0]
+    m = _product(a, b, True, live)[0]
+    _set(m, "_trim", True)
+    return m
 
 
 def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Closed interpretation of the open intersection of `parts`.
 
     Deletes the arcs whose demands were never produced.  `close(m)` filters
-    one machine.  With several parts, all but the one with the most arcs
-    are intersected openly in the order given, and that largest part joins
-    last, in one closed product: arc pairs with no producer on either side
-    are never built.  That product is built backward first: a walk back
+    one machine, and is `trim(m)` when no arc of `m` is a consumer: at once
+    for a machine already marked trim, such as a product's result.  With
+    several parts, all but the one with the most arcs are intersected
+    openly in the order given, and that largest part joins last, in one
+    closed product: arc pairs with no producer on either side are never
+    built.  That product is built backward first: a walk back
     from the pairs of finals over both operands' in-arcs finds the pairs
     that can still reach a final (`_kernel.coreachable`), and the forward
     product enters only those, so it builds the trim machine directly and
@@ -124,6 +138,8 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
     if len(parts) == 1:
         a = parts[0]
         kept = tuple(arc for arc in a.raw_arcs if arc[3])
+        if len(kept) == len(a.raw_arcs):
+            return trim(a)
         return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
     *rest, last = closing_order(parts)
     rest = reduce(lambda x, y: intersect_open(x, y, stats), rest)
@@ -156,6 +172,7 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     alphabet itself, so the chain is built without validation.
     """
     tokens = alphabet.tokenize(string)
-    arcs = [(i, i + 1, alphabet.char(tok), False) for i, tok in enumerate(tokens)]
-    arcs.extend((q, q, alphabet.tech, False) for q in range(len(tokens) + 1))
+    char, tech = alphabet._char_mask, alphabet.tech  # tokenize knows every token
+    arcs = [(i, i + 1, char[tok], False) for i, tok in enumerate(tokens)]
+    arcs += [(q, q, tech, False) for q in range(len(tokens) + 1)]
     return Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))

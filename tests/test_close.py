@@ -6,8 +6,9 @@ is already trim. The reference below is the construction it replaced: the
 forward closed product over every reachable pair, then `prune`. The two must
 agree exactly (state count, start, finals and the raw arc sequence), not
 only up to renumbering, on random machines with producer arcs and dead
-states, on every parameterless entry of the shipped grammars and on a
-generated 400-stem Koasati wordform.
+states (independent ones, and copies of one machine retyped with mixed
+producer flags), on every parameterless entry of the shipped grammars and
+on a generated 400-stem Koasati wordform.
 """
 
 import random
@@ -24,7 +25,7 @@ from redup.analyses import GRAMMAR_NAMES, grammar_source, load_grammar
 from redup.compiler import compile_grammar
 from redup.fsa import Fsa, prune
 from redup.interpret import ProductStats, close, closing_order, intersect_open
-from test_representation import every_state_indexed, random_fsa
+from test_representation import every_state_indexed, random_parts
 
 
 def forward_close(*parts, stats=None):
@@ -34,7 +35,7 @@ def forward_close(*parts, stats=None):
     a = reduce(lambda x, y: intersect_open(x, y, stats), rest)
     n, start, finals, arcs, _visited = _kernel.product(
         a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), True,
-        a.label_index(), b.label_index(),
+        a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
     )
     return prune(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
@@ -65,21 +66,17 @@ def ref_coreachable(a, b):
 # -- random machines ---------------------------------------------------------------
 
 
-def random_parts(ab, data):
-    return [random_fsa(ab, data.draw) for _ in range(data.draw(st.integers(2, 3)))]
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_close_equals_the_pruned_forward_product(ab, data):
-    parts = random_parts(ab, data)
+    parts = random_parts(ab, data.draw)
     assert_identical(close(*parts), forward_close(*parts))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_indexed_close_equals_the_pruned_forward_product(ab, data):
-    parts = random_parts(ab, data)
+    parts = random_parts(ab, data.draw)
     with every_state_indexed():
         assert_identical(close(*parts), forward_close(*parts))
 
@@ -87,7 +84,7 @@ def test_indexed_close_equals_the_pruned_forward_product(ab, data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_coreachable_is_every_pair_that_reaches_a_final_pair(ab, data):
-    a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
+    a, b = random_parts(ab, data.draw, 2)
     live = _kernel.coreachable(a.n, a.finals, a.raw_arcs, b.n, b.finals, b.raw_arcs)
     assert live == ref_coreachable(a, b)
 
@@ -95,7 +92,7 @@ def test_coreachable_is_every_pair_that_reaches_a_final_pair(ab, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_stats_record_the_backward_pairs_of_the_closed_product(ab, data):
-    parts = random_parts(ab, data)
+    parts = random_parts(ab, data.draw)
     stats, opened = ProductStats(), ProductStats()
     close(*parts, stats=stats)
     *rest, b = closing_order(parts)

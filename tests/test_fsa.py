@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redup.alphabet import Alphabet
-from redup.errors import AutomatonError, EnumerationCapError
+from redup.errors import AutomatonError, EnumerationCapError, InventoryError
 from redup.fsa import (
     Arc,
     Fsa,
@@ -66,6 +66,19 @@ def test_build_from_string_attrs(ab):
         build_from_string(ab, "ab", attrs=[ab.char("b"), None])
     with pytest.raises(AutomatonError, match="align"):
         build_from_string(ab, "ab", attrs=[None])
+
+
+def test_build_from_string_raises_without_validating_its_chain(ab):
+    with pytest.raises(InventoryError, match="cannot tokenize 'abc'"):
+        build_from_string(ab, "abc")
+    with pytest.raises(InventoryError, match="token 'c' is not in the inventory"):
+        build_from_string(ab, ["a", "c"])
+    with pytest.raises(AutomatonError, match="empties token 'a' at position 1"):
+        build_from_string(ab, ["b", "a"], attrs=[None, ab.char("b")])
+    mora = ab.named_set("mora")
+    for attrs in (None, [mora, None, ab.char("b") | mora]):
+        m = build_from_string(ab, "abb", attrs=attrs, pc=False)
+        assert Fsa(ab, m.n, m.start, m.finals, m.arcs) == m  # passes the validator
 
 
 def test_empty_label_arc_rejected(ab):

@@ -4,8 +4,10 @@ The reference product, trim and close below are written against the public
 ``Arc``/``Label`` view only, so they share no code with the raw-arc
 operations they check. On random machines, open intersection, closing and
 the three enrichments must match them exactly: same state count, start and
-finals, and the same arcs as a multiset. The product's label index is
-checked the same way, with every state forced through it.
+finals, and the same arcs as a multiset. The product's label index and its
+dead-end rule are checked the same way, the index with every state forced
+through it. The mark that records a machine as trim is checked never to
+lie.
 """
 
 import copy
@@ -13,6 +15,7 @@ import pickle
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from functools import reduce
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -29,11 +32,14 @@ from redup.fsa import (
     build_from_string,
     canonical,
     combine,
+    determinize,
+    is_empty,
+    minimize,
     project_surface,
     prune,
     trim,
 )
-from redup.interpret import close, intersect_open
+from redup.interpret import ProductStats, close, intersect_open
 
 # -- reference operations over the public view ---------------------------------
 
@@ -62,8 +68,9 @@ def ref_trim(m):
                frozenset(new[q] for q in m.finals if q in new), arcs)
 
 
-def ref_intersect_open(a, b):
-    """Pairs numbered in depth-first discovery order, as the kernel does."""
+def ref_product(a, b, closed=False):
+    """Every reachable pair, numbered in depth-first discovery order as the
+    kernel does; `closed` makes no arc of two consumers. Not trimmed."""
     ids, todo, arcs, finals = {(a.start, b.start): 0}, [(a.start, b.start)], [], set()
     out_a, out_b = a.out_arcs(), b.out_arcs()
     while todo:
@@ -72,13 +79,18 @@ def ref_intersect_open(a, b):
             finals.add(ids[qa, qb])
         for x in out_a[qa]:
             for y in out_b[qb]:
-                if x.label.bits & y.label.bits:
+                if x.label.bits & y.label.bits and not (
+                        closed and not x.label.pc and not y.label.pc):
                     if (x.dst, y.dst) not in ids:
                         ids[x.dst, y.dst] = len(ids)
                         todo.append((x.dst, y.dst))
                     label = Label(x.label.bits & y.label.bits, x.label.pc or y.label.pc)
                     arcs.append(Arc(ids[qa, qb], label, ids[x.dst, y.dst]))
-    return ref_trim(Fsa(a.alphabet, len(ids), 0, finals, arcs))
+    return Fsa(a.alphabet, len(ids), 0, finals, arcs), list(ids)
+
+
+def ref_intersect_open(a, b, closed=False):
+    return ref_trim(ref_product(a, b, closed)[0])
 
 
 def ref_close(m):
@@ -116,6 +128,41 @@ def random_fsa(al, draw, n_max=5):
     return Fsa(al, n, start, finals, [Arc(s, Label(b, pc), d) for s, d, b, pc in arcs])
 
 
+def retyped_copies(al, draw, count):
+    """`count` copies of one `random_fsa` machine, each arc's producer flag
+    drawn anew for every copy.
+
+    A product of the copies pairs each arc with itself, producer with
+    consumer and consumer with consumer, so its closed product often has a
+    pair that reaches the final only over two consumers, which independent
+    machines rarely give. The one final is the last state a breadth-first
+    search from the start finds, so it is reached, and over several arcs.
+    """
+    m = random_fsa(al, draw)
+    order, out = [m.start], m.out_raw()
+    for q in order:
+        for _s, d, _b, _pc in out[q]:
+            if d not in order:
+                order.append(d)
+    finals = frozenset({order[-1]})
+    n_arcs = len(m.raw_arcs)
+    flags = draw(st.lists(st.lists(st.booleans(), min_size=n_arcs, max_size=n_arcs),
+                          min_size=count, max_size=count))
+    return [Fsa.from_raw(al, m.n, m.start, finals,
+                         tuple((s, d, b, pc) for (s, d, b, _), pc in zip(m.raw_arcs, pcs)))
+            for pcs in flags]
+
+
+def random_parts(al, draw, count=None):
+    """Two or three (or `count`) operands: independent `random_fsa`
+    machines or, as often, `retyped_copies` of one."""
+    if count is None:
+        count = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        return retyped_copies(al, draw, count)
+    return [random_fsa(al, draw) for _ in range(count)]
+
+
 def every_state_indexed():
     """Lower the kernel's fan-out cutoff to its minimum: every state with an
     arc is then paired through its label index."""
@@ -145,13 +192,13 @@ def test_indexed_intersect_open_matches_reference(ab, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_close_and_trim_match_reference(ab, data):
-    m = random_fsa(ab, data.draw)
+    m = random_parts(ab, data.draw, 1)[0]
     same_machine(close(m), ref_close(m))
     same_machine(trim(m), ref_trim(m))
 
 
 def check_closed_chain(ab, data):
-    parts = [random_fsa(ab, data.draw) for _ in range(data.draw(st.integers(2, 3)))]
+    parts = random_parts(ab, data.draw)
     got = close(*parts)
     want = close(reduce(intersect_open, parts))
     assert got.n == want.n
@@ -186,10 +233,66 @@ def test_indexed_closed_product_matches_close_of_open_chain(ab, data):
 def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
     a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
     n, start, finals, arcs, _pairs = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
+        None, None, None, a.out_bits(), b.out_bits(),
     )
     m = Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs))
     assert prune(m) == trim(m)
+
+
+# -- dead-end pairs ----------------------------------------------------------------------
+
+
+def check_dead_end_rule(ab, data, closed):
+    """The product with the dead-end rule, pruned, is the reference product
+    trimmed, arc order included; it enters the start pair and exactly the
+    reference's pairs whose states' out-labels overlap or are both final."""
+    a, b = random_parts(ab, data.draw, 2)
+    n, start, finals, arcs, entered = _kernel.product(
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
+        a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
+    )
+    got = prune(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs)))
+    want = ref_intersect_open(a, b, closed)
+    same_machine(got, want)
+    assert got.raw_arcs == want.raw_arcs
+
+    def mask(m, q):
+        return reduce(or_, (arc.label.bits for arc in m.out_arcs()[q]), 0)
+
+    kept = {(qa, qb) for qa, qb in ref_product(a, b, closed)[1]
+            if mask(a, qa) & mask(b, qb) or qa in a.finals and qb in b.finals}
+    assert entered == n == len(kept | {(a.start, b.start)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_dead_end_rule_keeps_the_pruned_product(ab, data, closed):
+    check_dead_end_rule(ab, data, closed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), closed=st.booleans())
+def test_indexed_dead_end_rule_keeps_the_pruned_product(ab, data, closed):
+    with every_state_indexed():
+        check_dead_end_rule(ab, data, closed)
+
+
+def test_a_dead_end_pair_is_no_longer_entered(ab):
+    a_, b_ = ab.char("a"), ab.char("b")
+    x = Fsa.from_raw(ab, 3, 0, frozenset({2}), ((0, 1, a_, True), (1, 2, b_, True)))
+    # after a, state 1 only goes on by a, and state 3 by b
+    y = Fsa.from_raw(ab, 5, 0, frozenset({2, 4}), (
+        (0, 1, a_, False), (1, 2, a_, False), (0, 3, a_, False), (3, 4, b_, False),
+    ))
+    # (1, 1) leaves x by b and y by a: a dead end, and not entered
+    assert ref_product(x, y)[1] == [(0, 0), (1, 1), (1, 3), (2, 4)]
+    stats = ProductStats()
+    got = intersect_open(x, y, stats)
+    assert stats.per_call == [3]
+    want = ref_intersect_open(x, y)
+    same_machine(got, want)
+    assert got.raw_arcs == want.raw_arcs == ((0, 1, a_, True), (1, 2, b_, True))
 
 
 # -- the label index on a high-fan-out state ------------------------------------------
@@ -227,7 +330,7 @@ def test_indexed_state_keeps_the_plain_loop_order(ab, closed, lexicon_side):
     def run(index_x, index_y):
         return _kernel.product(x.n, x.start, x.finals, x.out_raw(),
                                y.n, y.start, y.finals, y.out_raw(), closed,
-                               index_x, index_y)
+                               index_x, index_y, None, x.out_bits(), y.out_bits())
 
     with mock.patch.object(_kernel, "FANOUT", count + 1):
         plain = run({}, {})  # no state reaches the cutoff: the plain double loop
@@ -244,12 +347,13 @@ def test_label_index_is_left_out_of_equality_pickling_and_copies(ab):
     lexicon = stem_union(ab, 2 * _kernel.FANOUT)
     fresh = Fsa.from_raw(ab, lexicon.n, lexicon.start, lexicon.finals, lexicon.raw_arcs)
     intersect_open(lexicon, probe(ab))
-    assert lexicon.label_index()
+    assert lexicon.label_index() and lexicon._bits is not None
     assert lexicon == fresh and hash(lexicon) == hash(fresh)
     for twin in (copy.copy(lexicon), copy.deepcopy(lexicon),
                  pickle.loads(pickle.dumps(lexicon))):
         assert twin == lexicon
         assert twin.label_index() == {}
+        assert twin._bits is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,3 +455,43 @@ def test_copies_and_pickles_compare_equal(ab):
 def test_trim_returns_a_live_machine_unchanged(ab):
     m = build_from_string(ab, "ab")
     assert trim(m) is m
+
+
+# -- the trim mark ---------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_trim_mark_never_lies(ab, data):
+    a, b = random_parts(ab, data.draw, 2)
+    made = [trim(a), close(a), close(a, b), intersect_open(a, b), combine("concat", [a, b]),
+            combine("star", [a]), determinize(a), minimize(a), project_surface(a)]
+    made += [close(m) for m in made]
+    for m in made:
+        if not m._trim:
+            continue
+        fresh = Fsa.from_raw(ab, m.n, m.start, m.finals, m.raw_arcs)
+        assert not fresh._trim
+        assert trim(fresh) == m
+        assert not is_empty(fresh)
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and not twin._trim
+
+
+def test_a_product_stays_marked_through_close_trim_and_is_empty(ab):
+    a_, b_ = ab.char("a"), ab.char("b")
+    word = build_from_string(ab, "ab")  # producers
+    chain = Fsa.from_raw(ab, 3, 0, frozenset({2}), ((0, 1, a_, False), (1, 2, b_, False)))
+    p = intersect_open(word, chain)
+    assert p._trim and all(pc for *_arc, pc in p.raw_arcs)
+    assert close(p) is p and trim(p) is p and prune(p) is p
+    assert not is_empty(p) and p._out is None  # answered without a walk
+    # a consumer arc to drop: a new machine, trimmed and marked
+    m = trim(Fsa.from_raw(ab, 3, 0, frozenset({2}),
+                          ((0, 1, a_, True), (1, 2, b_, True), (0, 2, a_, False))))
+    assert m._trim
+    closed = close(m)
+    assert closed is not m and closed._trim
+    assert closed.raw_arcs == ((0, 1, a_, True), (1, 2, b_, True))
+    # the canonical empty machine is never marked
+    assert not close(intersect_open(chain, chain))._trim
