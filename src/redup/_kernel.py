@@ -20,25 +20,32 @@ other pair, so a closed product comes out trim.
 Without that set, ``product`` skips dead-end pairs, whose two states'
 out-labels do not overlap and which are not both final: a trim would
 delete them, and a parse's product against a lexicon enters about half
-the pairs it would otherwise.
+the pairs it would otherwise. From an indexed pair it also skips a
+successor whose two states cannot end on the same number of segment
+symbols (``Fsa.rest_bounds``): a parse's successors at the lexicon's start
+are the stems' first states, and a stem of the wrong length is ruled out
+before any of its pairs is entered. That halves a parse's pairs again.
 """
 
 from __future__ import annotations
 
 from itertools import product as _pairs
-from typing import Sequence
+from typing import Callable, Sequence
 
 BACKEND = "py"
 
 # Out-degree from which a state is paired through its label index. Results
-# do not depend on it. Over the products of the shipped grammars and of the
-# synthetic Koasati lexicons, an operand state has at most 8 out-arcs or is
-# a lexicon's start state, with 24 (the shipped Koasati lexicon) to several
-# thousand. Any cutoff in 9..24 indexes the same states; at 8 or less the
-# many 8-arc states would pay for an index that groups little.
+# do not depend on it; the pairs entered do, since only the successors of an
+# indexed pair are put to the length test. Over the products of the shipped
+# grammars and of the synthetic Koasati lexicons, an operand state has at
+# most 8 out-arcs or is a lexicon's start state, with 24 (the shipped
+# Koasati lexicon) to several thousand. Any cutoff in 9..24 indexes the same
+# states; at 8 or less the many 8-arc states would pay for an index that
+# groups little.
 FANOUT = 16
 
 Groups = list[tuple[int, bool, Sequence[int]]]  # (bits, pc, arc positions)
+Bounds = tuple[Sequence[int], Sequence[int]]  # (lo, hi), as Fsa.rest_bounds
 
 
 def product(
@@ -56,6 +63,8 @@ def product(
     live: set[int] | None = None,
     bits_a: Sequence[int] | None = None,
     bits_b: Sequence[int] | None = None,
+    rest_a: Callable[[], Bounds] | None = None,
+    rest_b: Callable[[], Bounds] | None = None,
 ) -> tuple[int, int, list[int], list[tuple[int, int, int, bool]], int]:
     """Reachable pair-product of two machines given by their out-adjacency.
 
@@ -91,6 +100,19 @@ def product(
     out-arc labels (``Fsa.out_bits``) and must be given when ``live`` is
     not; with ``live`` they are not read.
 
+    ``rest_a`` and ``rest_b``, when given, return each side's ``(lo, hi)``
+    bounds on the segment symbols left before a final
+    (``Fsa.rest_bounds``). They are called at the first indexed pair, so a
+    product that meets no high-fan-out state computes none. Without
+    ``live``, a new successor (da, db) of an indexed pair is entered only
+    if it also passes the length test: ``lo_a[da] <= hi_b[db]`` and
+    ``lo_b[db] <= hi_a[da]``. A string leading from both states to finals
+    has one count of segment symbols, in both intervals; so a pair that
+    fails the test reaches no final pair, nor do its successors, and as
+    with the dead-end rule the pairs a trim keeps come out in the same
+    order. The successors of plain pairs are not tested: in a parse that
+    would save almost nothing.
+
     ``index_a`` and ``index_b`` cache the label index of each side's
     high-fan-out states across calls (see ``Fsa.label_index``). States,
     arcs and their order do not depend on the index: at an indexed pair the
@@ -101,6 +123,7 @@ def product(
     if index_b is None:
         index_b = {}
     fanout = FANOUT
+    lo_a = hi_a = lo_b = hi_b = None  # fetched at the first indexed pair
     # A pair (qa, qb) is keyed as the int qa * n_b + qb.
     pair_id: dict[int, int] = {start_a * n_b + start_b: 0}
     todo = [start_a * n_b + start_b]
@@ -143,6 +166,8 @@ def product(
                 if ba & bb and (keep or pb):
                     matched += _pairs(pos_a, pos_b)
         matched.sort()  # the plain loop's (a-arc, b-arc) order
+        if lo_a is None and rest_a is not None:
+            (lo_a, hi_a), (lo_b, hi_b) = rest_a(), rest_b()
         for i, j in matched:
             _sa, da, ba, pa = succ_a[i]
             _sb, db, bb, pb = succ_b[j]
@@ -151,6 +176,8 @@ def product(
             if tid is None:
                 if live is None:
                     if not (bits_a[da] & bits_b[db] or da in finals_a and db in finals_b):
+                        continue
+                    if lo_a is not None and (lo_a[da] > hi_b[db] or lo_b[db] > hi_a[da]):
                         continue
                 elif key not in live:
                     continue

@@ -13,10 +13,12 @@ for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
 A third cache, ``label_index``, holds the product kernel's label index:
 the arcs of each state with many out-arcs grouped by label (see
-``_kernel``), and a fourth, ``out_bits``, the OR of each state's out-arc
-labels, with which the kernel skips dead-end pairs. None of the caches,
-nor the trim mark below, takes part in equality, hashing, pickling or
-copies.
+``_kernel``). A fourth, ``out_bits``, holds the OR of each state's out-arc
+labels, with which the kernel skips dead-end pairs, and a fifth,
+``rest_bounds``, the fewest and the most segment symbols left on a path from
+each state to a final, with which it skips pairs whose remaining lengths
+cannot meet. None of the caches, nor the trim mark below, takes part in
+equality, hashing, pickling or copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``.
@@ -55,6 +57,9 @@ from .errors import AutomatonError, EnumerationCapError, Frozen
 
 DEFAULT_ENUM_CAP = 200_000
 
+# `Fsa.rest_bounds` where no bound holds: more than any path's length.
+UNBOUNDED = 1 << 62
+
 RawArc = tuple[int, int, int, bool]  # (src, dst, bits, pc)
 
 _set = object.__setattr__
@@ -81,7 +86,7 @@ class Fsa(Frozen):
 
     __slots__ = (
         "alphabet", "n", "start", "finals", "raw_arcs",
-        "_arcs", "_out", "_index", "_bits", "_trim", "_hash",
+        "_arcs", "_out", "_index", "_bits", "_rest", "_trim", "_hash",
     )
 
     def __init__(
@@ -199,6 +204,25 @@ class Fsa(Frozen):
             _set(self, "_bits", bits)
         return bits
 
+    def rest_bounds(self) -> tuple[list[int], list[int]]:
+        """Per state q, bounds ``(lo[q], hi[q])`` on the number of segment
+        symbols in any string that leads from q to a final.
+
+        ``lo`` counts the arcs with no technical symbol in their label, the
+        fewest on any path to a final. ``hi`` counts the arcs with a segment
+        symbol, the most on any path; a self-loop of technicals only adds
+        none, and any other cycle on the way to a final leaves ``hi`` at
+        ``UNBOUNDED``. A state that reaches no final gets ``lo = UNBOUNDED``
+        and ``hi = -1``, an interval nothing fits in. Built on first use and
+        cached like the adjacency, for the product kernel's length test;
+        read them and never mutate them.
+        """
+        rest = self._rest
+        if rest is None:
+            rest = _rest_bounds(self)
+            _set(self, "_rest", rest)
+        return rest
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -258,8 +282,57 @@ def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
     _set(m, "_out", None)
     _set(m, "_index", None)
     _set(m, "_bits", None)
+    _set(m, "_rest", None)
     _set(m, "_trim", False)
     _set(m, "_hash", None)
+
+
+def _rest_bounds(a: Fsa) -> tuple[list[int], list[int]]:
+    """`Fsa.rest_bounds`, computed: a 0-1 breadth-first search back from
+    the finals for ``lo``, then longest paths over the states that reach a
+    final, taken in reverse topological order (Kahn), for ``hi``."""
+    n, tech, seg = a.n, a.alphabet.tech, a.alphabet.seg
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, d, b, _pc in a.raw_arcs:
+        inc[d].append((s, b))
+    lo = [UNBOUNDED] * n
+    todo = deque(a.finals)
+    for q in todo:
+        lo[q] = 0
+    while todo:
+        q = todo.popleft()
+        for s, b in inc[q]:
+            if b & tech:
+                if lo[q] < lo[s]:
+                    lo[s] = lo[q]
+                    todo.appendleft(s)
+            elif lo[q] + 1 < lo[s]:
+                lo[s] = lo[q] + 1
+                todo.append(s)
+    # An arc counts for `hi` if it enters a state that reaches a final and is
+    # not a self-loop of technicals only; `left[q]` is how many of q's such
+    # arcs lead to a state not yet settled.
+    left = [0] * n
+    for s, d, b, _pc in a.raw_arcs:
+        if lo[d] != UNBOUNDED and (s != d or b & seg):
+            left[s] += 1
+    hi = [-1] * n
+    for q in a.finals:
+        hi[q] = 0
+    ready = [q for q in range(n) if lo[q] != UNBOUNDED and not left[q]]
+    while ready:
+        q = ready.pop()
+        for s, b in inc[q]:
+            if s == q and not b & seg:
+                continue
+            hi[s] = max(hi[s], hi[q] + 1 if b & seg else hi[q])
+            left[s] -= 1
+            if not left[s]:
+                ready.append(s)
+    for q in range(n):
+        if left[q]:  # on or before a cycle
+            hi[q] = UNBOUNDED
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

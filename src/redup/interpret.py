@@ -24,13 +24,13 @@ class ProductStats:
     """Work counters accumulated across the products of intersect_open and close.
 
     `per_call` holds one count per product: for an open product the pairs
-    it entered, which leaves out the dead-end pairs it skips (see
-    `_kernel.product`), and for a closed product the pairs its backward
-    walk found.  Passed to `CompiledGrammar.compile`, it sees each product
-    the compile runs, the closed product of a `closed_interpretation`
-    included.  A product in a parameter-free part of a parameterised
-    definition runs, and is counted, once per compile however often the
-    definition is called.
+    it entered, which leaves out the dead-end pairs and the pairs of
+    lengths that cannot meet that it skips (see `_kernel.product`), and for
+    a closed product the pairs its backward walk found.  Passed to
+    `CompiledGrammar.compile`, it sees each product the compile runs, the
+    closed product of a `closed_interpretation` included.  A product in a
+    parameter-free part of a parameterised definition runs, and is counted,
+    once per compile however often the definition is called.
     Equal by value and unhashable, as a mutable record should be.
     """
 
@@ -70,11 +70,16 @@ def _same_alphabet(a: Fsa, b: Fsa) -> None:
 
 
 def _product(a: Fsa, b: Fsa, closed: bool, live: set[int] | None) -> tuple[Fsa, int]:
-    # `live` takes the place of the dead-end test, so a closed product builds no masks
-    bits_a, bits_b = (a.out_bits(), b.out_bits()) if live is None else (None, None)
+    # `live` takes the place of the dead-end and length tests, so a closed
+    # product builds no masks; the kernel asks for the bounds only if it meets
+    # a high-fan-out state
+    if live is None:
+        bits_a, bits_b, rest_a, rest_b = a.out_bits(), b.out_bits(), a.rest_bounds, b.rest_bounds
+    else:
+        bits_a = bits_b = rest_a = rest_b = None
     n, start, finals, arcs, visited = _kernel.product(
         a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
-        a.label_index(), b.label_index(), live, bits_a, bits_b,
+        a.label_index(), b.label_index(), live, bits_a, bits_b, rest_a, rest_b,
     )
     return Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)), visited
 
@@ -82,8 +87,10 @@ def _product(a: Fsa, b: Fsa, closed: bool, live: set[int] | None) -> tuple[Fsa, 
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Pairwise product with label intersection and producer-dominant pc.
 
-    The product skips dead-end pairs (see `_kernel.product`), so `stats`
-    counts only the pairs it enters; the result is the same trim machine.
+    The product skips dead-end pairs, and, at a high-fan-out state such as
+    a lexicon's start, pairs whose remaining lengths cannot meet (see
+    `_kernel.product`); `stats` counts only the pairs it enters, and the
+    result is the same trim machine.
     """
     _same_alphabet(a, b)
     m, visited = _product(a, b, False, None)
@@ -169,10 +176,15 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     — underspecified for all attributes, with a consumer {repeat, skip} self
     loop on each state so the grammar's technical arcs can surface anywhere.
     An unknown token raises `InventoryError`.  Every label comes from the
-    alphabet itself, so the chain is built without validation.
+    alphabet itself, so the chain is built without validation, and its
+    `rest_bounds` are set, not computed: from state i, exactly the tokens
+    after it are left.
     """
     tokens = alphabet.tokenize(string)
     char, tech = alphabet._char_mask, alphabet.tech  # tokenize knows every token
     arcs = [(i, i + 1, char[tok], False) for i, tok in enumerate(tokens)]
     arcs += [(q, q, tech, False) for q in range(len(tokens) + 1)]
-    return Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
+    m = Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
+    left = list(range(len(tokens), -1, -1))
+    _set(m, "_rest", (left, left))
+    return m

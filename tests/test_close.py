@@ -11,7 +11,6 @@ producer flags), on every parameterless entry of the shipped grammars and
 on a generated 400-stem Koasati wordform.
 """
 
-import random
 from functools import reduce
 from unittest import mock
 
@@ -25,6 +24,7 @@ from redup.analyses import GRAMMAR_NAMES, grammar_source, load_grammar
 from redup.compiler import compile_grammar
 from redup.fsa import Fsa, prune
 from redup.interpret import ProductStats, close, closing_order, intersect_open
+from test_koasati_oracle import koasati
 from test_representation import every_state_indexed, random_parts
 
 
@@ -147,34 +147,9 @@ def test_shipped_entries_compile_to_identical_machines(grammar):
         assert_identical(got, want)
 
 
-def koasati_stems(seed, count):
-    """Distinct stems of two or three CV(C) syllables, a quarter without an
-    onset on the first syllable."""
-    rng = random.Random(seed)
-    stems: set[str] = set()
-    while len(stems) < count:
-        syllables = []
-        for i in range(rng.choice((2, 3))):
-            onset = rng.choice("thspnklc") if i or rng.random() >= 0.25 else ""
-            coda = rng.choice("thspnklc") if rng.random() < 0.5 else ""
-            syllables.append(onset + rng.choice("aio") + coda)
-        stems.add("".join(syllables))
-    return sorted(stems)
-
-
 def test_generated_400_stem_wordform_compiles_to_an_identical_machine():
-    lines = [grammar_source("koasati")]
-    names = []
-    for i, stem in enumerate(koasati_stems(1, 400)):
-        names.append(f"generated_{i}")
-        if stem[0] in "aio":
-            lines.append(f'{names[-1]} := stem(underspecified_for_voicing({stem[0]}), '
-                         f'"{stem[1:]}").')
-        else:
-            lines.append(f'{names[-1]} := stem([], "{stem}").')
-    lines.append("generated_lexicon := { " + ", ".join(names) + " }.")
-    lines.append("generated_wordform := wordform(generated_lexicon).")
-    cg = compile_grammar("\n".join(lines) + "\n")
-    got, want = compile_both(cg, "generated_wordform")
+    source = koasati.grammar_text(grammar_source("koasati"), koasati.stems(1, 400))
+    cg = compile_grammar(source)
+    got, want = compile_both(cg, koasati.ENTRY)
     assert got.n > 100 and got.finals
     assert_identical(got, want)

@@ -347,13 +347,13 @@ def test_label_index_is_left_out_of_equality_pickling_and_copies(ab):
     lexicon = stem_union(ab, 2 * _kernel.FANOUT)
     fresh = Fsa.from_raw(ab, lexicon.n, lexicon.start, lexicon.finals, lexicon.raw_arcs)
     intersect_open(lexicon, probe(ab))
-    assert lexicon.label_index() and lexicon._bits is not None
+    assert lexicon.label_index() and lexicon._bits is not None and lexicon._rest is not None
     assert lexicon == fresh and hash(lexicon) == hash(fresh)
     for twin in (copy.copy(lexicon), copy.deepcopy(lexicon),
                  pickle.loads(pickle.dumps(lexicon))):
         assert twin == lexicon
         assert twin.label_index() == {}
-        assert twin._bits is None
+        assert twin._bits is None and twin._rest is None
 
 
 @settings(max_examples=100, deadline=None)
