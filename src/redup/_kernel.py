@@ -25,6 +25,16 @@ successor whose two states cannot end on the same number of segment
 symbols (``Fsa.rest_bounds``): a parse's successors at the lexicon's start
 are the stems' first states, and a stem of the wrong length is ruled out
 before any of its pairs is entered. That halves a parse's pairs again.
+
+Both tests read only the target states' out-labels, finality and bounds,
+so an open product with bounds runs them on sub-buckets: each label group
+of an indexed state is split by that signature of its arcs' targets, and a
+sub-bucket passes or fails whole against an arc of the other side. At the
+1,600-stem lexicon's start, 400 arcs fall into 11 label groups and 121
+sub-buckets, and a parse's start pair runs about 11 sub-bucket tests for
+the 37 successors its matching groups hold. Closed products, which test
+membership in the backward set instead, and products without bounds keep
+the label groups and test each new successor.
 """
 
 from __future__ import annotations
@@ -45,6 +55,9 @@ BACKEND = "py"
 FANOUT = 16
 
 Groups = list[tuple[int, bool, Sequence[int]]]  # (bits, pc, arc positions)
+# (bits, pc, sub-buckets): a label group split by its arcs' targets, each
+# sub-bucket (out_bits, final, lo, hi, arc positions) of the targets it holds
+Buckets = list[tuple[int, bool, Sequence[tuple[int, bool, int, int, Sequence[int]]]]]
 Bounds = tuple[Sequence[int], Sequence[int]]  # (lo, hi), as Fsa.rest_bounds
 
 
@@ -58,8 +71,8 @@ def product(
     finals_b: frozenset[int],
     out_b: Sequence[Sequence[tuple[int, int, int, bool]]],
     closed: bool = False,
-    index_a: dict[int, Groups] | None = None,
-    index_b: dict[int, Groups] | None = None,
+    index_a: dict[int, Groups | Buckets] | None = None,
+    index_b: dict[int, Groups | Buckets] | None = None,
     live: set[int] | None = None,
     bits_a: Sequence[int] | None = None,
     bits_b: Sequence[int] | None = None,
@@ -111,18 +124,33 @@ def product(
     fails the test reaches no final pair, nor do its successors, and as
     with the dead-end rule the pairs a trim keeps come out in the same
     order. The successors of plain pairs are not tested: in a parse that
-    would save almost nothing.
+    would save almost nothing (over 6,000 seeded parses against a
+    1,600-stem lexicon, testing them too enters 127,199 pairs instead of
+    127,667, 0.4% fewer).
+
+    With bounds and without ``live``, an indexed pair runs both tests on
+    sub-buckets rather than on each successor: each label group of an
+    indexed state is split by its arcs' targets' signature ``(out_bits,
+    final, lo, hi)`` (see ``_buckets``), a plain state's arcs form one
+    sub-bucket each, and every pair of sub-buckets under a matching pair of
+    groups is tested once, its arc positions taken whole. The tests then
+    also drop the arcs into a pair already entered that fails them; such a
+    pair reaches no final, so ``prune`` deletes those arcs anyway, and the
+    pruned result is the same, as are the pairs entered.
 
     ``index_a`` and ``index_b`` cache the label index of each side's
-    high-fan-out states across calls (see ``Fsa.label_index``). States,
-    arcs and their order do not depend on the index: at an indexed pair the
-    matching arcs are emitted in the order of the plain double loop.
+    high-fan-out states across calls (see ``Fsa.label_index``), and their
+    sub-buckets under the key ``~q`` once a product with bounds needs them.
+    States, arcs and their order do not depend on the index: at an indexed
+    pair the matching arcs are emitted in the order of the plain double
+    loop.
     """
     if index_a is None:
         index_a = {}
     if index_b is None:
         index_b = {}
     fanout = FANOUT
+    bounded = live is None and rest_a is not None
     lo_a = hi_a = lo_b = hi_b = None  # fetched at the first indexed pair
     # A pair (qa, qb) is keyed as the int qa * n_b + qb.
     pair_id: dict[int, int] = {start_a * n_b + start_b: 0}
@@ -158,28 +186,41 @@ def product(
                             todo.append(key)
                         arcs.append((sid, tid, bits, pa or pb))
             continue
-        groups_b = _groups(index_b, qb, succ_b, fanout)
         matched: list[tuple[int, int]] = []
-        for ba, pa, pos_a in _groups(index_a, qa, succ_a, fanout):
-            keep = pa or not closed
-            for bb, pb, pos_b in groups_b:
-                if ba & bb and (keep or pb):
-                    matched += _pairs(pos_a, pos_b)
+        if bounded:
+            # both tests, once per pair of sub-buckets: their arcs' targets
+            # share out-labels, finality and bounds, so they pass or fail whole
+            if lo_a is None:
+                (lo_a, hi_a), (lo_b, hi_b) = rest_a(), rest_b()
+            buckets_b = _buckets(index_b, qb, succ_b, fanout, bits_b, finals_b, lo_b, hi_b)
+            for ba, pa, subs_a in _buckets(index_a, qa, succ_a, fanout,
+                                            bits_a, finals_a, lo_a, hi_a):
+                keep = pa or not closed
+                for bb, pb, subs_b in buckets_b:
+                    if ba & bb and (keep or pb):
+                        for oa, fa, la, ha, pos_a in subs_a:
+                            for ob, fb, lb, hb, pos_b in subs_b:
+                                if (oa & ob or fa and fb) and la <= hb and lb <= ha:
+                                    matched += _pairs(pos_a, pos_b)
+        else:
+            groups_b = _groups(index_b, qb, succ_b, fanout)
+            for ba, pa, pos_a in _groups(index_a, qa, succ_a, fanout):
+                keep = pa or not closed
+                for bb, pb, pos_b in groups_b:
+                    if ba & bb and (keep or pb):
+                        matched += _pairs(pos_a, pos_b)
         matched.sort()  # the plain loop's (a-arc, b-arc) order
-        if lo_a is None and rest_a is not None:
-            (lo_a, hi_a), (lo_b, hi_b) = rest_a(), rest_b()
         for i, j in matched:
             _sa, da, ba, pa = succ_a[i]
             _sb, db, bb, pb = succ_b[j]
             key = da * n_b + db
             tid = pair_id.get(key)
             if tid is None:
-                if live is None:
-                    if not (bits_a[da] & bits_b[db] or da in finals_a and db in finals_b):
+                if live is not None:
+                    if key not in live:
                         continue
-                    if lo_a is not None and (lo_a[da] > hi_b[db] or lo_b[db] > hi_a[da]):
-                        continue
-                elif key not in live:
+                elif not (bounded or bits_a[da] & bits_b[db]
+                          or da in finals_a and db in finals_b):
                     continue
                 tid = len(pair_id)
                 pair_id[key] = tid
@@ -248,3 +289,30 @@ def _groups(index: dict[int, Groups], q: int, succ, fanout: int) -> Groups:
             by_label.setdefault((b, pc), []).append(i)
         groups = index[q] = [(b, pc, pos) for (b, pc), pos in by_label.items()]
     return groups
+
+
+def _buckets(index: dict[int, Buckets], q: int, succ, fanout: int,
+             bits: Sequence[int], finals: frozenset[int],
+             lo: Sequence[int], hi: Sequence[int]) -> Buckets:
+    """The groups of ``_groups``, each split into sub-buckets by the
+    signature ``(bits[d], d in finals, lo[d], hi[d])`` of its arcs' targets.
+
+    A state below the fan-out cutoff gets one group and one sub-bucket per
+    arc, built here and not kept; a state at or above it gets its label
+    groups split once, cached in ``index`` under the key ``~q``. Positions
+    stay ascending within a sub-bucket.
+    """
+    if len(succ) < fanout:
+        return [(b, pc, ((bits[d], d in finals, lo[d], hi[d], (i,)),))
+                for i, (_s, d, b, pc) in enumerate(succ)]
+    buckets = index.get(~q)
+    if buckets is None:
+        buckets = []
+        for b, pc, pos in _groups(index, q, succ, fanout):
+            by_target: dict[tuple[int, bool, int, int], list[int]] = {}
+            for i in pos:
+                d = succ[i][1]
+                by_target.setdefault((bits[d], d in finals, lo[d], hi[d]), []).append(i)
+            buckets.append((b, pc, [(*sig, p) for sig, p in by_target.items()]))
+        index[~q] = buckets
+    return buckets

@@ -12,7 +12,8 @@ for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 ``compiler`` works on that form directly. ``arcs`` is a view of the same
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
 A third cache, ``label_index``, holds the product kernel's label index:
-the arcs of each state with many out-arcs grouped by label (see
+the arcs of each state with many out-arcs grouped by label, and each group
+split by its arcs' targets into the sub-buckets an open product tests (see
 ``_kernel``). A fourth, ``out_bits``, holds the OR of each state's out-arc
 labels, with which the kernel skips dead-end pairs, and a fifth,
 ``rest_bounds``, the fewest and the most segment symbols left on a path from
@@ -179,10 +180,13 @@ class Fsa(Frozen):
     def label_index(self) -> dict:
         """The product kernel's cache of label indexes, by state.
 
-        ``_kernel.product`` fills it for the high-fan-out states it visits,
-        so a machine used in many products (a compiled lexicon) groups its
-        arcs once. Like the adjacency, it is left out of equality, hashing,
-        pickling and copies.
+        ``_kernel.product`` fills it for the high-fan-out states it visits:
+        under a state q, its arcs' positions grouped by label, and under
+        ``~q``, once an open product with length bounds needs them, those
+        groups split into sub-buckets by their targets' out-labels,
+        finality and bounds. A machine used in many products (a compiled
+        lexicon) so groups and splits its arcs once. Like the adjacency, it
+        is left out of equality, hashing, pickling and copies.
         """
         index = self._index
         if index is None:

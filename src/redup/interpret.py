@@ -12,12 +12,16 @@ final pair can still be reached.
 from __future__ import annotations
 
 from functools import reduce
+from operator import itemgetter
 from typing import Sequence
 
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
 from .fsa import Fsa, _set, never_fsa, prune, trim
+
+
+_is_producer = itemgetter(3)  # of a raw (src, dst, bits, pc) arc
 
 
 class ProductStats:
@@ -144,9 +148,9 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
         raise TypeError("close() needs at least one automaton")
     if len(parts) == 1:
         a = parts[0]
-        kept = tuple(arc for arc in a.raw_arcs if arc[3])
-        if len(kept) == len(a.raw_arcs):
+        if all(map(_is_producer, a.raw_arcs)):
             return trim(a)
+        kept = tuple(arc for arc in a.raw_arcs if arc[3])
         return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
     *rest, last = closing_order(parts)
     rest = reduce(lambda x, y: intersect_open(x, y, stats), rest)
@@ -177,14 +181,16 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     loop on each state so the grammar's technical arcs can surface anywhere.
     An unknown token raises `InventoryError`.  Every label comes from the
     alphabet itself, so the chain is built without validation, and its
-    `rest_bounds` are set, not computed: from state i, exactly the tokens
-    after it are left.
+    `out_bits` and `rest_bounds` are set, not computed: state i leaves by
+    its token and by the technicals (the last state by the technicals
+    only), and from state i exactly the tokens after it are left.
     """
     tokens = alphabet.tokenize(string)
     char, tech = alphabet._char_mask, alphabet.tech  # tokenize knows every token
     arcs = [(i, i + 1, char[tok], False) for i, tok in enumerate(tokens)]
     arcs += [(q, q, tech, False) for q in range(len(tokens) + 1)]
     m = Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
+    _set(m, "_bits", [char[tok] | tech for tok in tokens] + [tech])
     left = list(range(len(tokens), -1, -1))
     _set(m, "_rest", (left, left))
     return m

@@ -5,7 +5,9 @@ strings, with no automata, and generates seeded stems. It is imported here
 read-only, from its file. On seeded lexicons of 5 to 60 stems, the wordform
 compiled by either engine must generate exactly the oracle's forms, and
 both engines' parses must accept exactly the oracle's forms: every form,
-and a substitution, an insertion and a deletion of one token in each.
+and a substitution, an insertion and a deletion of one token in each. The
+empty string and every one-token string are checked the same way against
+100 stems, whose wordform's start state has enough arcs to be indexed.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redup import _kernel
 from redup.analyses import grammar_source
 from redup.compiler import compile_grammar
 from redup.fsa import is_empty, surface_strings
@@ -83,3 +86,19 @@ def test_a_stem_without_forms_has_an_empty_wordform():
         assert is_empty(materialize(cg.compile(koasati.ENTRY, engine="lazy"))), stem
         assert parses(cg, cg.compile(koasati.ENTRY), cg.compile(koasati.ENTRY, engine="lazy"),
                       stem) == (False, False)
+
+
+def test_empty_and_one_token_strings_match_the_oracle():
+    """The shortest chains, one state with bounds 0 and two with bounds 1,
+    against a lexicon whose start state is paired through its sub-buckets."""
+    stems = koasati.stems(1, 100)
+    forms = koasati.lexicon_forms(stems)
+    cg = compile_lexicon(stems)
+    eager = cg.compile(koasati.ENTRY)
+    lazy = cg.compile(koasati.ENTRY, engine="lazy")
+    assert len(eager.out_raw()[eager.start]) >= _kernel.FANOUT
+    for surface in ["", *TOKENS]:
+        chain = prepare_parse_input(cg.alphabet, surface)
+        lo, hi = chain.rest_bounds()
+        assert lo == hi == list(range(len(surface), -1, -1))
+        assert parses(cg, eager, lazy, surface) == (surface in forms,) * 2, surface

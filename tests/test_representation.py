@@ -484,8 +484,18 @@ def test_a_product_stays_marked_through_close_trim_and_is_empty(ab):
     chain = Fsa.from_raw(ab, 3, 0, frozenset({2}), ((0, 1, a_, False), (1, 2, b_, False)))
     p = intersect_open(word, chain)
     assert p._trim and all(pc for *_arc, pc in p.raw_arcs)
-    assert close(p) is p and trim(p) is p and prune(p) is p
+    with mock.patch.object(Fsa, "from_raw", side_effect=AssertionError("built a copy")):
+        assert close(p) is p and trim(p) is p and prune(p) is p
     assert not is_empty(p) and p._out is None  # answered without a walk
+    # a product with a consumer arc, into a final of its own: filtered out
+    branched = Fsa.from_raw(ab, 4, 0, frozenset({2, 3}), (
+        (0, 1, a_, True), (1, 2, b_, True), (1, 3, b_, False),
+    ))
+    q = intersect_open(branched, chain)
+    assert q._trim and q.n == 4 and not all(pc for *_arc, pc in q.raw_arcs)
+    producers = tuple(arc for arc in q.raw_arcs if arc[3])
+    assert close(q) == trim(Fsa.from_raw(ab, q.n, q.start, q.finals, producers))
+    assert close(q).raw_arcs == ((0, 1, a_, True), (1, 2, b_, True))
     # a consumer arc to drop: a new machine, trimmed and marked
     m = trim(Fsa.from_raw(ab, 3, 0, frozenset({2}),
                           ((0, 1, a_, True), (1, 2, b_, True), (0, 2, a_, False))))
@@ -495,3 +505,4 @@ def test_a_product_stays_marked_through_close_trim_and_is_empty(ab):
     assert closed.raw_arcs == ((0, 1, a_, True), (1, 2, b_, True))
     # the canonical empty machine is never marked
     assert not close(intersect_open(chain, chain))._trim
+

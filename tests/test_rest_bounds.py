@@ -4,13 +4,17 @@
 symbols on a path to a final. They are checked against the segment counts
 of the strings accepted from each state, found by a fixpoint over the arcs:
 exactly on acyclic machines, and for soundness (and exactly where finite)
-on cyclic ones. At a high-fan-out pair, an open
-product enters a successor pair only if the two states' intervals overlap;
-pruned, the product must still be the reference product trimmed, arc order
-included, and it must enter exactly the pairs the reference reaches over
-pairs that pass both the dead-end and the length test.
+on cyclic ones. A parse chain's bounds and out-label masks, which it is
+built with, must equal the computed ones. At a high-fan-out pair, an open
+product enters a successor pair only if the two states' intervals overlap,
+and tests its successors a sub-bucket at a time; pruned, the product must
+still be the reference product trimmed, arc order included, and it must
+enter exactly the pairs the reference reaches over pairs that pass both
+the dead-end and the length test. That is checked with every state
+indexed, and at the real cutoff against a lexicon of chains.
 """
 
+import random
 from unittest import mock
 
 import pytest
@@ -19,10 +23,11 @@ from hypothesis import strategies as st
 
 from redup import _kernel
 from redup import fsa as fsa_module
-from redup.analyses import GRAMMAR_NAMES, grammar_source
+from redup.analyses import GRAMMAR_NAMES, grammar_source, load_grammar
 from redup.compiler import compile_grammar
 from redup.fsa import UNBOUNDED, Fsa, combine, prune
 from redup.interpret import ProductStats, intersect_open, prepare_parse_input
+from test_acceptance import PARSE_CASES
 from test_koasati_oracle import koasati
 from test_representation import (
     every_state_indexed,
@@ -116,28 +121,67 @@ def test_parse_chain_bounds_equal_the_computed_ones(ab, surface):
     assert chain.rest_bounds()[0] == list(range(len(surface), -1, -1))
 
 
+def test_parse_chain_masks_equal_the_computed_ones():
+    """On the acceptance gate's parse table, and on seeded strings of zero
+    to twelve tokens over each shipped grammar's inventory."""
+    alphabets = {grammar: load_grammar(grammar).alphabet for grammar in GRAMMAR_NAMES}
+    cases = [(grammar, string) for grammar, _entry, string, _ok in PARSE_CASES]
+    rng = random.Random("parse inputs")
+    for grammar, al in alphabets.items():
+        cases += [(grammar, "".join(rng.choice(al.chars) for _ in range(rng.randrange(13))))
+                  for _ in range(20)]
+    for grammar, surface in cases:
+        chain = prepare_parse_input(alphabets[grammar], surface)
+        fresh = Fsa.from_raw(chain.alphabet, chain.n, chain.start, chain.finals,
+                             chain.raw_arcs)
+        assert chain._bits is not None and fresh._bits is None
+        assert chain.out_bits() == fresh.out_bits(), (grammar, surface)
+
+
 # -- the product's length test -----------------------------------------------------------
 
 
-def entered_pairs(a, b, closed):
-    """The pairs of the reference product reachable from its start pair over
-    pairs that are neither dead ends nor of lengths that cannot meet."""
+def entered_pairs(a, b, closed, fanout=1):
+    """The pairs of the reference product reachable from its start pair,
+    where a successor of an indexed pair (one of whose states has at least
+    `fanout` out-arcs) must pass both the dead-end and the length test, and
+    a successor of a plain pair the dead-end test only."""
     ref, ids = ref_product(a, b, closed)
     (lo_a, hi_a), (lo_b, hi_b) = a.rest_bounds(), b.rest_bounds()
     bits_a, bits_b = a.out_bits(), b.out_bits()
+    out_a, out_b = a.out_raw(), b.out_raw()
 
-    def passes(qa, qb):
+    def passes(qa, qb, bounded):
         return ((bits_a[qa] & bits_b[qb] or qa in a.finals and qb in b.finals)
-                and lo_a[qa] <= hi_b[qb] and lo_b[qb] <= hi_a[qa])
+                and (not bounded or lo_a[qa] <= hi_b[qb] and lo_b[qb] <= hi_a[qa]))
 
     out = ref.out_arcs()
     seen, stack = {0}, [0]
     while stack:
-        for arc in out[stack.pop()]:
-            if arc.dst not in seen and passes(*ids[arc.dst]):
+        src = stack.pop()
+        qa, qb = ids[src]
+        bounded = len(out_a[qa]) >= fanout or len(out_b[qb]) >= fanout
+        for arc in out[src]:
+            if arc.dst not in seen and passes(*ids[arc.dst], bounded):
                 seen.add(arc.dst)
                 stack.append(arc.dst)
     return len(seen)
+
+
+def check_bounded_product(a, b, closed, fanout):
+    """The kernel's product without `live`, given both sides' bounds as an
+    open product runs it, pruned, is the reference product trimmed, arc
+    order included, and enters exactly the pairs `entered_pairs` finds."""
+    n, start, finals, arcs, entered = _kernel.product(
+        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(),
+        closed, a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
+        a.rest_bounds, b.rest_bounds,
+    )
+    got = prune(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+    want = ref_intersect_open(a, b, closed)
+    same_machine(got, want)
+    assert got.raw_arcs == want.raw_arcs
+    assert entered == n == entered_pairs(a, b, closed, fanout)
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,16 +190,51 @@ def test_indexed_length_test_keeps_the_pruned_product(ab, data, closed):
     """With every state indexed, every successor pair is tested."""
     a, b = random_parts(ab, data.draw, 2)
     with every_state_indexed():
-        n, start, finals, arcs, entered = _kernel.product(
-            a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(),
-            closed, a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
-            a.rest_bounds, b.rest_bounds,
-        )
-    got = prune(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs)))
-    want = ref_intersect_open(a, b, closed)
-    same_machine(got, want)
-    assert got.raw_arcs == want.raw_arcs
-    assert entered == n == entered_pairs(a, b, closed)
+        check_bounded_product(a, b, closed, 1)
+
+
+def chain_lexicon(al, draw):
+    """A start state fanning out into `FANOUT` to twice as many chains of
+    one to four arcs, with random labels, producer flags and finals, and a
+    few self-loops of technicals. Not trimmed: a chain may reach no final."""
+    labels = [al.char("a"), al.char("b"), al.char("a") | al.char("b"),
+              al.named_set("mora"), al.repeat, al.skip | al.char("a")]
+    chains = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(labels), st.booleans(), st.booleans()),
+                 min_size=1, max_size=4),
+        min_size=_kernel.FANOUT, max_size=2 * _kernel.FANOUT,
+    ))
+    arcs, finals, n = [], set(), 1
+    for chain in chains:
+        src = 0
+        for bits, pc, final in chain:
+            arcs.append((src, n, bits, pc))
+            if final:
+                finals.add(n)
+            src, n = n, n + 1
+    if draw(st.booleans()):
+        finals.add(0)
+    loops = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from([al.repeat, al.skip, al.tech])),
+        max_size=3,
+    ))
+    arcs += [(q, q, bits, False) for q, bits in loops]
+    return Fsa.from_raw(al, n, 0, frozenset(finals), tuple(arcs), check=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), closed=st.booleans(), lexicon_first=st.booleans())
+def test_sub_buckets_keep_the_pruned_product(ab, data, closed, lexicon_first):
+    """At the real cutoff, a lexicon's start is tested a sub-bucket at a
+    time against a parse chain or a random machine, on either side."""
+    lexicon = chain_lexicon(ab, data.draw)
+    assert len(lexicon.out_raw()[lexicon.start]) >= _kernel.FANOUT
+    if data.draw(st.booleans()):
+        other = prepare_parse_input(ab, data.draw(st.text("ab", max_size=5)))
+    else:
+        other = random_fsa(ab, data.draw)
+    a, b = (lexicon, other) if lexicon_first else (other, lexicon)
+    check_bounded_product(a, b, closed, _kernel.FANOUT)
 
 
 def stems_of_lengths(ab, lengths):
