@@ -122,9 +122,7 @@ def not_contains(machine: Fsa) -> Fsa:
     # complete the DFA with a sink, then swap finals
     sink = matcher.n
     arcs = list(matcher.raw_arcs)
-    covered = [0] * (matcher.n + 1)
-    for s, _d, b, _pc in matcher.raw_arcs:
-        covered[s] |= b
+    covered = matcher.out_bits() + [0]
     for q in range(matcher.n + 1):
         missing = al.sigma & ~covered[q]
         if missing:

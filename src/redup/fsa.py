@@ -11,15 +11,17 @@ An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
 for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 ``compiler`` works on that form directly. ``arcs`` is a view of the same
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
-A third cache, ``label_index``, holds the product kernel's label index:
-the arcs of each state with many out-arcs grouped by label, and each group
-split by its arcs' targets into the sub-buckets an open product tests (see
-``_kernel``). A fourth, ``out_bits``, holds the OR of each state's out-arc
-labels, with which the kernel skips dead-end pairs, and a fifth,
-``rest_bounds``, the fewest and the most segment symbols left on a path from
-each state to a final, with which it skips pairs whose remaining lengths
-cannot meet. None of the caches, nor the trim mark below, takes part in
-equality, hashing, pickling or copies.
+The product kernel (``_kernel.product``) takes two machines and reads
+three more caches of each itself. ``label_index`` holds the arcs of each
+state with many out-arcs grouped by label, and each group split by its
+arcs' targets into the sub-buckets an open product tests. An open product
+also reads ``out_bits``, the OR of each state's out-arc labels, with which
+it skips dead-end pairs, and, at its first high-fan-out pair,
+``rest_bounds``, the fewest and the most segment symbols left on a path
+from each state to a final, with which it skips pairs whose remaining
+lengths cannot meet. A closed product reads neither. None of the caches,
+nor the trim mark below, takes part in equality, hashing, pickling or
+copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``.
@@ -32,7 +34,8 @@ Machines built by splicing or filtering arcs (``combine``, ``close`` of one
 machine, ``project_surface``) can have unreachable states and use ``trim``.
 ``trim`` and ``prune`` mark what they return as trim, as does the closed
 product of ``interpret.close``, and return a marked machine at once;
-``is_empty`` answers it without a walk.
+``is_empty`` answers it without a walk. The canonical empty machine is
+never marked, and they return it as it is too.
 
 ``combine`` builds no epsilon edges: where concatenation, union, star or
 option would enter a part's start state by one, the source takes a copy of
@@ -182,11 +185,11 @@ class Fsa(Frozen):
 
         ``_kernel.product`` fills it for the high-fan-out states it visits:
         under a state q, its arcs' positions grouped by label, and under
-        ``~q``, once an open product with length bounds needs them, those
-        groups split into sub-buckets by their targets' out-labels,
-        finality and bounds. A machine used in many products (a compiled
-        lexicon) so groups and splits its arcs once. Like the adjacency, it
-        is left out of equality, hashing, pickling and copies.
+        ``~q``, once an open product needs them, those groups split into
+        sub-buckets by their targets' out-labels, finality and bounds. A
+        machine used in many products (a compiled lexicon) so groups and
+        splits its arcs once. Like the adjacency, it is left out of
+        equality, hashing, pickling and copies.
         """
         index = self._index
         if index is None:
@@ -533,12 +536,13 @@ def trim(a: Fsa) -> Fsa:
     """Keep only states on some start-to-final path (canonical empty if none).
 
     Returns `a` itself when every state is live, at once when `a` is marked
-    trim, and marks what it returns.
+    trim or already is the canonical empty machine, and marks what it
+    returns unless it is that machine.
     """
     if a._trim:
         return a
     if not a.finals:
-        return never_fsa(a.alphabet)
+        return _empty(a)
     out = a.out_raw()
     fwd = bytearray(a.n)
     fwd[a.start] = 1
@@ -561,8 +565,14 @@ def prune(a: Fsa) -> Fsa:
     if a._trim:
         return a
     if not a.finals:
-        return never_fsa(a.alphabet)
+        return _empty(a)
     return _keep_coreachable(a, None)
+
+
+def _empty(a: Fsa) -> Fsa:
+    """The canonical empty machine: `a` itself if it is one already, as a
+    rejected parse's pruned product is when `close` trims it."""
+    return a if a.n == 1 and not a.raw_arcs else never_fsa(a.alphabet)
 
 
 def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:

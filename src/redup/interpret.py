@@ -73,18 +73,8 @@ def _same_alphabet(a: Fsa, b: Fsa) -> None:
         raise AutomatonError("intersection over mismatched alphabets")
 
 
-def _product(a: Fsa, b: Fsa, closed: bool, live: set[int] | None) -> tuple[Fsa, int]:
-    # `live` takes the place of the dead-end and length tests, so a closed
-    # product builds no masks; the kernel asks for the bounds only if it meets
-    # a high-fan-out state
-    if live is None:
-        bits_a, bits_b, rest_a, rest_b = a.out_bits(), b.out_bits(), a.rest_bounds, b.rest_bounds
-    else:
-        bits_a = bits_b = rest_a = rest_b = None
-    n, start, finals, arcs, visited = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
-        a.label_index(), b.label_index(), live, bits_a, bits_b, rest_a, rest_b,
-    )
+def _product(a: Fsa, b: Fsa, live: set[int] | None = None) -> tuple[Fsa, int]:
+    n, start, finals, arcs, visited = _kernel.product(a, b, live)
     return Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)), visited
 
 
@@ -97,7 +87,7 @@ def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     result is the same trim machine.
     """
     _same_alphabet(a, b)
-    m, visited = _product(a, b, False, None)
+    m, visited = _product(a, b)
     if stats is not None:
         stats.record(visited)
     return prune(m)
@@ -107,12 +97,12 @@ def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
     """Backward first: the forward pass enters only co-reachable pairs, so
     the result is already trim."""
     _same_alphabet(a, b)
-    live = _kernel.coreachable(a.n, a.finals, a.raw_arcs, b.n, b.finals, b.raw_arcs)
+    live = _kernel.coreachable(a, b)
     if stats is not None:
         stats.record(len(live))
     if a.start * b.n + b.start not in live:
         return never_fsa(a.alphabet)
-    m = _product(a, b, True, live)[0]
+    m = _product(a, b, live)[0]
     _set(m, "_trim", True)
     return m
 

@@ -178,7 +178,7 @@ def test_eager_parse_is_an_open_product_then_a_one_part_close(
     monkeypatch.setattr(redup.cli, "intersect_open", spy("open", redup.cli.intersect_open))
     monkeypatch.setattr(
         redup._kernel, "product",
-        spy("product", redup._kernel.product, lambda *a, **k: a[8] if len(a) > 8 else False),
+        spy("product", redup._kernel.product, lambda a, b, live=None: live is not None),
     )
     monkeypatch.setattr(
         redup._kernel, "coreachable", spy("coreachable", redup._kernel.coreachable)

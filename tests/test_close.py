@@ -22,10 +22,10 @@ from redup import _kernel
 from redup import compiler as compiler_module
 from redup.analyses import GRAMMAR_NAMES, grammar_source, load_grammar
 from redup.compiler import compile_grammar
-from redup.fsa import Fsa, prune
+from redup.fsa import Fsa
 from redup.interpret import ProductStats, close, closing_order, intersect_open
 from test_koasati_oracle import koasati
-from test_representation import every_state_indexed, random_parts
+from test_representation import EVERY_PAIR, every_state_indexed, pruned, random_parts
 
 
 def forward_close(*parts, stats=None):
@@ -33,11 +33,7 @@ def forward_close(*parts, stats=None):
     largest openly, run the closed product over all reachable pairs, prune."""
     *rest, b = closing_order(parts)
     a = reduce(lambda x, y: intersect_open(x, y, stats), rest)
-    n, start, finals, arcs, _visited = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), True,
-        a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
-    )
-    return prune(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+    return pruned(a.alphabet, _kernel.product(a, b, EVERY_PAIR))
 
 
 def assert_identical(got, want):
@@ -85,7 +81,7 @@ def test_indexed_close_equals_the_pruned_forward_product(ab, data):
 @given(data=st.data())
 def test_coreachable_is_every_pair_that_reaches_a_final_pair(ab, data):
     a, b = random_parts(ab, data.draw, 2)
-    live = _kernel.coreachable(a.n, a.finals, a.raw_arcs, b.n, b.finals, b.raw_arcs)
+    live = _kernel.coreachable(a, b)
     assert live == ref_coreachable(a, b)
 
 
@@ -97,7 +93,7 @@ def test_stats_record_the_backward_pairs_of_the_closed_product(ab, data):
     close(*parts, stats=stats)
     *rest, b = closing_order(parts)
     a = reduce(lambda x, y: intersect_open(x, y, opened), rest)
-    live = _kernel.coreachable(a.n, a.finals, a.raw_arcs, b.n, b.finals, b.raw_arcs)
+    live = _kernel.coreachable(a, b)
     assert stats.per_call == opened.per_call + [len(live)]
 
 
@@ -109,7 +105,7 @@ def test_a_pair_that_reaches_a_final_only_over_consumers_is_not_entered(ab):
                      ((0, 1, a_, False), (1, 2, a_, False), (0, 2, b_, True)))
     y = Fsa.from_raw(ab, 3, 0, frozenset({2}),
                      ((0, 1, a_, True), (1, 2, a_, False), (0, 2, b_, False)))
-    live = _kernel.coreachable(x.n, x.finals, x.raw_arcs, y.n, y.finals, y.raw_arcs)
+    live = _kernel.coreachable(x, y)
     assert live == {0, 2 * 3 + 2}
     got = close(x, y)
     assert_identical(got, forward_close(x, y))
@@ -129,9 +125,9 @@ def test_a_dead_start_pair_gives_the_empty_machine(ab):
 # -- shipped grammars and a generated lexicon -------------------------------------------
 
 
-def compile_both(cg, entry):
+def compile_both(cg, entry, stats=None):
     """The entry compiled with `close`, and with the reference in its place."""
-    got = cg.compile(entry)
+    got = cg.compile(entry, stats=stats)
     with mock.patch.object(compiler_module, "close", forward_close):
         want = cg.compile(entry)
     return got, want
@@ -150,6 +146,10 @@ def test_shipped_entries_compile_to_identical_machines(grammar):
 def test_generated_400_stem_wordform_compiles_to_an_identical_machine():
     source = koasati.grammar_text(grammar_source("koasati"), koasati.stems(1, 400))
     cg = compile_grammar(source)
-    got, want = compile_both(cg, koasati.ENTRY)
-    assert got.n > 100 and got.finals
+    stats = ProductStats()
+    got, want = compile_both(cg, koasati.ENTRY, stats)
+    assert got.finals
     assert_identical(got, want)
+    # the work of the compile: 407 open products, and the closed one, whose
+    # backward walk finds 6,223 of the pairs
+    assert (stats.calls, stats.visited_pairs, got.n) == (408, 10542, 1853)

@@ -7,6 +7,7 @@ heart of copying-as-intersection.
 
 import copy
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,10 @@ from redup.fsa import (
     enumerate_label_paths,
     enumerate_language,
     is_empty,
+    prune,
     surface_strings,
     symbol_fsa,
+    trim,
 )
 from redup.interpret import (
     ProductStats,
@@ -35,6 +38,7 @@ from redup.interpret import (
     prepare_parse_input,
     universal_producer,
 )
+from test_acceptance import PARSE_CASES
 
 BAMBARA = [(c, "vowel" if c in "uiaeo" else "consonant", ()) for c in "wulnyiafeo"]
 
@@ -295,6 +299,20 @@ def test_parse_chain_passes_the_validation_it_skips(grammar, string):
     checked = Fsa.from_raw(al, chain.n, chain.start, chain.finals, chain.raw_arcs, check=True)
     assert chain == checked
     assert Fsa(al, chain.n, chain.start, chain.finals, chain.arcs) == chain
+
+
+@pytest.mark.parametrize(
+    "grammar,entry,string", [case[:3] for case in PARSE_CASES if not case[3]]
+)
+def test_a_rejected_parse_builds_the_empty_machine_once(grammar, entry, string):
+    """The pruned product of a rejected parse is the canonical empty
+    machine, and the one-part `close` after it returns it as it is."""
+    cg = load_grammar(grammar)
+    p = intersect_open(cg.compile(entry), prepare_parse_input(cg.alphabet, string))
+    assert (p.n, p.start, p.finals, p.raw_arcs) == (1, 0, frozenset(), ())
+    with mock.patch.object(Fsa, "from_raw", side_effect=AssertionError("built a copy")):
+        assert close(p) is p and trim(p) is p and prune(p) is p
+    assert is_empty(p) and not p._trim
 
 
 def test_parse_chain_of_an_unknown_token_raises():

@@ -26,6 +26,7 @@ from redup import _kernel
 from redup.enrich import add_repeats, add_self_loops, add_skips
 from redup.errors import AutomatonError
 from redup.fsa import (
+    UNBOUNDED,
     Arc,
     Fsa,
     Label,
@@ -38,6 +39,7 @@ from redup.fsa import (
     project_surface,
     prune,
     trim,
+    _set,
 )
 from redup.interpret import ProductStats, close, intersect_open
 
@@ -163,6 +165,30 @@ def random_parts(al, draw, count=None):
     return [random_fsa(al, draw) for _ in range(count)]
 
 
+class _EveryPair:
+    def __contains__(self, key):
+        return True
+
+
+# As `live`, makes `_kernel.product` build the closed product over every
+# reachable pair; `close` gives that product trimmed.
+EVERY_PAIR = _EveryPair()
+
+
+def without_length_bounds(m):
+    """A copy of `m` whose bounds pass every pair, so that an open product
+    with it puts a successor to the dead-end test alone, indexed or not."""
+    m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
+    _set(m, "_rest", ([0] * m.n, [UNBOUNDED] * m.n))
+    return m
+
+
+def pruned(alphabet, result):
+    """A product of `_kernel.product`, pruned."""
+    n, start, finals, arcs, _entered = result
+    return prune(Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs)))
+
+
 def every_state_indexed():
     """Lower the kernel's fan-out cutoff to its minimum: every state with an
     arc is then paired through its label index."""
@@ -232,10 +258,7 @@ def test_indexed_closed_product_matches_close_of_open_chain(ab, data):
 @given(data=st.data(), closed=st.booleans())
 def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
     a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
-    n, start, finals, arcs, _pairs = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
-        None, None, None, a.out_bits(), b.out_bits(),
-    )
+    n, start, finals, arcs, _pairs = _kernel.product(a, b, EVERY_PAIR if closed else None)
     m = Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs))
     assert prune(m) == trim(m)
 
@@ -243,39 +266,37 @@ def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
 # -- dead-end pairs ----------------------------------------------------------------------
 
 
-def check_dead_end_rule(ab, data, closed):
-    """The product with the dead-end rule, pruned, is the reference product
-    trimmed, arc order included; it enters the start pair and exactly the
-    reference's pairs whose states' out-labels overlap or are both final."""
-    a, b = random_parts(ab, data.draw, 2)
-    n, start, finals, arcs, entered = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(), closed,
-        a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
-    )
+def check_dead_end_rule(ab, data):
+    """The open product, pruned, is the reference product trimmed, arc
+    order included; with bounds that pass every pair, it enters the start
+    pair and exactly the reference's pairs whose states' out-labels overlap
+    or are both final."""
+    a, b = (without_length_bounds(m) for m in random_parts(ab, data.draw, 2))
+    n, start, finals, arcs, entered = _kernel.product(a, b)
     got = prune(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs)))
-    want = ref_intersect_open(a, b, closed)
+    want = ref_intersect_open(a, b)
     same_machine(got, want)
     assert got.raw_arcs == want.raw_arcs
 
     def mask(m, q):
         return reduce(or_, (arc.label.bits for arc in m.out_arcs()[q]), 0)
 
-    kept = {(qa, qb) for qa, qb in ref_product(a, b, closed)[1]
+    kept = {(qa, qb) for qa, qb in ref_product(a, b)[1]
             if mask(a, qa) & mask(b, qb) or qa in a.finals and qb in b.finals}
     assert entered == n == len(kept | {(a.start, b.start)})
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), closed=st.booleans())
-def test_dead_end_rule_keeps_the_pruned_product(ab, data, closed):
-    check_dead_end_rule(ab, data, closed)
+@given(data=st.data())
+def test_dead_end_rule_keeps_the_pruned_product(ab, data):
+    check_dead_end_rule(ab, data)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), closed=st.booleans())
-def test_indexed_dead_end_rule_keeps_the_pruned_product(ab, data, closed):
+@given(data=st.data())
+def test_indexed_dead_end_rule_keeps_the_pruned_product(ab, data):
     with every_state_indexed():
-        check_dead_end_rule(ab, data, closed)
+        check_dead_end_rule(ab, data)
 
 
 def test_a_dead_end_pair_is_no_longer_entered(ab):
@@ -327,20 +348,28 @@ def test_indexed_state_keeps_the_plain_loop_order(ab, closed, lexicon_side):
     assert len(lexicon.out_raw()[lexicon.start]) == count
     x, y = (lexicon, query) if lexicon_side == "a" else (query, lexicon)
 
-    def run(index_x, index_y):
-        return _kernel.product(x.n, x.start, x.finals, x.out_raw(),
-                               y.n, y.start, y.finals, y.out_raw(), closed,
-                               index_x, index_y, None, x.out_bits(), y.out_bits())
+    def run():
+        return _kernel.product(x, y, EVERY_PAIR if closed else None)
+
+    def check(indexed):
+        # an open product puts the successors of an indexed pair, and only
+        # those, to the length test, so only its pruned result is the same
+        if closed:
+            assert indexed == plain
+        else:
+            assert pruned(ab, indexed) == pruned(ab, plain)  # raw_arcs order too
 
     with mock.patch.object(_kernel, "FANOUT", count + 1):
-        plain = run({}, {})  # no state reaches the cutoff: the plain double loop
-    assert run(x.label_index(), y.label_index()) == plain
-    start_arcs = lexicon.out_raw()[lexicon.start]
-    assert list(lexicon.label_index()) == [lexicon.start]
-    assert len(lexicon.label_index()[lexicon.start]) == len(
-        {(b, pc) for _s, _d, b, pc in start_arcs})
+        plain = run()  # no state reaches the cutoff: the plain double loop
+    assert lexicon.label_index() == {}
+    check(run())
+    start = lexicon.start
+    start_arcs = lexicon.out_raw()[start]
+    # an open product also splits the label groups into sub-buckets, under ~q
+    assert list(lexicon.label_index()) == ([start] if closed else [start, ~start])
+    assert len(lexicon.label_index()[start]) == len({(b, pc) for _s, _d, b, pc in start_arcs})
     assert query.label_index() == {}
-    assert run(x.label_index(), y.label_index()) == plain  # from the cached index
+    check(run())  # from the cached index
 
 
 def test_label_index_is_left_out_of_equality_pickling_and_copies(ab):

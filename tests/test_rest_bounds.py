@@ -141,12 +141,12 @@ def test_parse_chain_masks_equal_the_computed_ones():
 # -- the product's length test -----------------------------------------------------------
 
 
-def entered_pairs(a, b, closed, fanout=1):
+def entered_pairs(a, b, fanout=1):
     """The pairs of the reference product reachable from its start pair,
     where a successor of an indexed pair (one of whose states has at least
     `fanout` out-arcs) must pass both the dead-end and the length test, and
     a successor of a plain pair the dead-end test only."""
-    ref, ids = ref_product(a, b, closed)
+    ref, ids = ref_product(a, b)
     (lo_a, hi_a), (lo_b, hi_b) = a.rest_bounds(), b.rest_bounds()
     bits_a, bits_b = a.out_bits(), b.out_bits()
     out_a, out_b = a.out_raw(), b.out_raw()
@@ -168,29 +168,24 @@ def entered_pairs(a, b, closed, fanout=1):
     return len(seen)
 
 
-def check_bounded_product(a, b, closed, fanout):
-    """The kernel's product without `live`, given both sides' bounds as an
-    open product runs it, pruned, is the reference product trimmed, arc
-    order included, and enters exactly the pairs `entered_pairs` finds."""
-    n, start, finals, arcs, entered = _kernel.product(
-        a.n, a.start, a.finals, a.out_raw(), b.n, b.start, b.finals, b.out_raw(),
-        closed, a.label_index(), b.label_index(), None, a.out_bits(), b.out_bits(),
-        a.rest_bounds, b.rest_bounds,
-    )
+def check_bounded_product(a, b, fanout):
+    """The kernel's open product, pruned, is the reference product trimmed,
+    arc order included, and enters exactly the pairs `entered_pairs` finds."""
+    n, start, finals, arcs, entered = _kernel.product(a, b)
     got = prune(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
-    want = ref_intersect_open(a, b, closed)
+    want = ref_intersect_open(a, b)
     same_machine(got, want)
     assert got.raw_arcs == want.raw_arcs
-    assert entered == n == entered_pairs(a, b, closed, fanout)
+    assert entered == n == entered_pairs(a, b, fanout)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), closed=st.booleans())
-def test_indexed_length_test_keeps_the_pruned_product(ab, data, closed):
+@given(data=st.data())
+def test_indexed_length_test_keeps_the_pruned_product(ab, data):
     """With every state indexed, every successor pair is tested."""
     a, b = random_parts(ab, data.draw, 2)
     with every_state_indexed():
-        check_bounded_product(a, b, closed, 1)
+        check_bounded_product(a, b, 1)
 
 
 def chain_lexicon(al, draw):
@@ -223,8 +218,8 @@ def chain_lexicon(al, draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), closed=st.booleans(), lexicon_first=st.booleans())
-def test_sub_buckets_keep_the_pruned_product(ab, data, closed, lexicon_first):
+@given(data=st.data(), lexicon_first=st.booleans())
+def test_sub_buckets_keep_the_pruned_product(ab, data, lexicon_first):
     """At the real cutoff, a lexicon's start is tested a sub-bucket at a
     time against a parse chain or a random machine, on either side."""
     lexicon = chain_lexicon(ab, data.draw)
@@ -234,7 +229,7 @@ def test_sub_buckets_keep_the_pruned_product(ab, data, closed, lexicon_first):
     else:
         other = random_fsa(ab, data.draw)
     a, b = (lexicon, other) if lexicon_first else (other, lexicon)
-    check_bounded_product(a, b, closed, _kernel.FANOUT)
+    check_bounded_product(a, b, _kernel.FANOUT)
 
 
 def stems_of_lengths(ab, lengths):
@@ -257,12 +252,9 @@ def test_a_pair_of_the_wrong_length_is_no_longer_entered(ab):
     assert got.raw_arcs == want.raw_arcs
     # from the start pair, a one-token stem is a dead end; without the length
     # test every longer stem enters a pair, and a two-token stem one more
-    # after it, while with the test only the two-token stems enter theirs
-    unbounded = _kernel.product(
-        lexicon.n, lexicon.start, lexicon.finals, lexicon.out_raw(),
-        chain.n, chain.start, chain.finals, chain.out_raw(), False,
-        None, None, None, lexicon.out_bits(), chain.out_bits(),
-    )[4]
+    # after it, while with the test only the two-token stems enter theirs;
+    # the reference walk with a fan-out no state reaches tests no length
+    unbounded = entered_pairs(lexicon, chain, fanout=4 * _kernel.FANOUT + 1)
     assert unbounded == 1 + 4 * _kernel.FANOUT
     assert stats.per_call == [1 + 2 * _kernel.FANOUT]
 
