@@ -15,17 +15,18 @@ product joins no two consumer arcs and enters only the pairs of ``live``,
 the set ``coreachable`` finds by walking back from the pairs of finals, so
 it comes out trim.
 
-A state with at least ``FANOUT`` out-arcs is paired through a label index
-(``Fsa.label_index``): its arcs grouped by ``(bits, pc)``, so each distinct
-label is tested once against the other side's arcs. A lexicon is a union of
-stems, and its start state has hundreds of out-arcs but only a dozen
-distinct labels. An open product splits each group further into
-sub-buckets by the out-labels, finality and bounds of the arcs' targets,
-and a sub-bucket passes or fails both tests whole. At the 1,600-stem
-lexicon's start, 400 arcs fall into 11 label groups and 121 sub-buckets,
-and a parse's start pair runs about 11 sub-bucket tests for the 37
-successors its matching groups hold. A compiled lexicon builds its index
-once for every query.
+In an open product, a state with at least ``FANOUT`` out-arcs is paired
+through a label index (``Fsa.label_index``): its arcs grouped by label
+bits, so each distinct label is tested once against the other side's arcs,
+and each group split into sub-buckets by the out-labels, finality and
+bounds of the arcs' targets, so a sub-bucket passes or fails both tests
+whole. A lexicon is a union of stems, and its start state has hundreds of
+out-arcs but only a dozen distinct labels. At the 1,600-stem lexicon's
+start, 400 arcs fall into 11 label groups and 121 sub-buckets, and a
+parse's start pair runs about 11 sub-bucket tests for the 37 successors its
+matching groups hold. A compiled lexicon builds its index once for every
+query. A closed product pairs every state through the plain double loop: a
+compile meets a high-fan-out state only at its start pair.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ BACKEND = "py"
 # groups little.
 FANOUT = 16
 
-Groups = list[tuple[int, bool, Sequence[int]]]  # (bits, pc, arc positions)
-# (bits, pc, sub-buckets): a label group split by its arcs' targets, each
+# (bits, sub-buckets): a label group split by its arcs' targets, each
 # sub-bucket (out_bits, final, lo, hi, arc positions) of the targets it holds
-Buckets = list[tuple[int, bool, Sequence[tuple[int, bool, int, int, Sequence[int]]]]]
+Buckets = list[tuple[int, Sequence[tuple[int, bool, int, int, Sequence[int]]]]]
 
 
 def product(
@@ -90,14 +90,14 @@ def product(
     and expanded, and their arcs emitted, in the order the unrestricted
     product gives them.
 
-    Neither a closed result nor a pruned open one depends on the label
-    index: at an indexed pair the matching arcs are emitted in the order of
-    the plain double loop.
+    A pruned open result does not depend on the label index: at an
+    indexed pair the matching arcs are emitted in the order of the plain
+    double loop.
     """
     closed = live is not None
     out_a, out_b, finals_a, finals_b = a.out_raw(), b.out_raw(), a.finals, b.finals
-    index_a, index_b = a.label_index(), b.label_index()
     if not closed:
+        index_a, index_b = a.label_index(), b.label_index()
         bits_a, bits_b = a.out_bits(), b.out_bits()
         lo_a = None  # the bounds, fetched at the first indexed pair
     fanout = FANOUT
@@ -116,7 +116,7 @@ def product(
             finals.append(sid)
         succ_a = out_a[qa]
         succ_b = out_b[qb]
-        if len(succ_a) < fanout and len(succ_b) < fanout:
+        if closed or len(succ_a) < fanout and len(succ_b) < fanout:
             for _sa, da, ba, pa in succ_a:
                 base = da * n_b
                 keep = pa or not closed
@@ -137,27 +137,19 @@ def product(
                             todo.append(key)
                         arcs.append((sid, tid, bits, pa or pb))
             continue
+        # both tests, once per pair of sub-buckets: their arcs' targets
+        # share out-labels, finality and bounds, so they pass or fail whole
+        if lo_a is None:
+            (lo_a, hi_a), (lo_b, hi_b) = a.rest_bounds(), b.rest_bounds()
         matched: list[tuple[int, int]] = []
-        if closed:
-            groups_b = _groups(index_b, qb, succ_b, fanout)
-            for ba, pa, pos_a in _groups(index_a, qa, succ_a, fanout):
-                for bb, pb, pos_b in groups_b:
-                    if ba & bb and (pa or pb):
-                        matched += _pairs(pos_a, pos_b)
-        else:
-            # both tests, once per pair of sub-buckets: their arcs' targets
-            # share out-labels, finality and bounds, so they pass or fail whole
-            if lo_a is None:
-                (lo_a, hi_a), (lo_b, hi_b) = a.rest_bounds(), b.rest_bounds()
-            buckets_b = _buckets(index_b, qb, succ_b, fanout, bits_b, finals_b, lo_b, hi_b)
-            for ba, _pa, subs_a in _buckets(index_a, qa, succ_a, fanout,
-                                             bits_a, finals_a, lo_a, hi_a):
-                for bb, _pb, subs_b in buckets_b:
-                    if ba & bb:
-                        for oa, fa, la, ha, pos_a in subs_a:
-                            for ob, fb, lb, hb, pos_b in subs_b:
-                                if (oa & ob or fa and fb) and la <= hb and lb <= ha:
-                                    matched += _pairs(pos_a, pos_b)
+        buckets_b = _buckets(index_b, qb, succ_b, fanout, bits_b, finals_b, lo_b, hi_b)
+        for ba, subs_a in _buckets(index_a, qa, succ_a, fanout, bits_a, finals_a, lo_a, hi_a):
+            for bb, subs_b in buckets_b:
+                if ba & bb:
+                    for oa, fa, la, ha, pos_a in subs_a:
+                        for ob, fb, lb, hb, pos_b in subs_b:
+                            if (oa & ob or fa and fb) and la <= hb and lb <= ha:
+                                matched += _pairs(pos_a, pos_b)
         matched.sort()  # the plain loop's (a-arc, b-arc) order
         for i, j in matched:
             _sa, da, ba, pa = succ_a[i]
@@ -165,8 +157,6 @@ def product(
             key = da * n_b + db
             tid = pair_id.get(key)
             if tid is None:
-                if closed and key not in live:
-                    continue
                 tid = len(pair_id)
                 pair_id[key] = tid
                 todo.append(key)
@@ -212,46 +202,27 @@ def coreachable(a: Fsa, b: Fsa) -> set[int]:
     return live
 
 
-def _groups(index: dict[int, Groups], q: int, succ, fanout: int) -> Groups:
-    """The arcs of ``succ`` (leaving q) as (bits, pc, positions) groups.
-
-    A state below the fan-out cutoff gets one group per arc, built here and
-    not kept; a state at or above it gets one group per distinct label,
-    cached in ``index``.
-    """
-    if len(succ) < fanout:
-        return [(b, pc, (i,)) for i, (_s, _d, b, pc) in enumerate(succ)]
-    groups = index.get(q)
-    if groups is None:
-        by_label: dict[tuple[int, bool], list[int]] = {}
-        for i, (_s, _d, b, pc) in enumerate(succ):
-            by_label.setdefault((b, pc), []).append(i)
-        groups = index[q] = [(b, pc, pos) for (b, pc), pos in by_label.items()]
-    return groups
-
-
 def _buckets(index: dict[int, Buckets], q: int, succ, fanout: int,
              bits: Sequence[int], finals: frozenset[int],
              lo: Sequence[int], hi: Sequence[int]) -> Buckets:
-    """The groups of ``_groups``, each split into sub-buckets by the
-    signature ``(bits[d], d in finals, lo[d], hi[d])`` of its arcs' targets.
+    """The arcs of ``succ`` (leaving q) grouped by label bits, each group
+    split into sub-buckets by the signature ``(bits[d], d in finals, lo[d],
+    hi[d])`` of its arcs' targets.
 
     A state below the fan-out cutoff gets one group and one sub-bucket per
-    arc, built here and not kept; a state at or above it gets its label
-    groups split once, cached in ``index`` under the key ``~q``. Positions
-    stay ascending within a sub-bucket.
+    arc, built here and not kept; a state at or above it gets its arcs
+    grouped and split once, cached in ``index`` under q. Positions stay
+    ascending within a sub-bucket.
     """
     if len(succ) < fanout:
-        return [(b, pc, ((bits[d], d in finals, lo[d], hi[d], (i,)),))
-                for i, (_s, d, b, pc) in enumerate(succ)]
-    buckets = index.get(~q)
+        return [(b, ((bits[d], d in finals, lo[d], hi[d], (i,)),))
+                for i, (_s, d, b, _pc) in enumerate(succ)]
+    buckets = index.get(q)
     if buckets is None:
-        buckets = []
-        for b, pc, pos in _groups(index, q, succ, fanout):
-            by_target: dict[tuple[int, bool, int, int], list[int]] = {}
-            for i in pos:
-                d = succ[i][1]
-                by_target.setdefault((bits[d], d in finals, lo[d], hi[d]), []).append(i)
-            buckets.append((b, pc, [(*sig, p) for sig, p in by_target.items()]))
-        index[~q] = buckets
+        by_label: dict[int, dict[tuple[int, bool, int, int], list[int]]] = {}
+        for i, (_s, d, b, _pc) in enumerate(succ):
+            sig = (bits[d], d in finals, lo[d], hi[d])
+            by_label.setdefault(b, {}).setdefault(sig, []).append(i)
+        buckets = index[q] = [(b, [(*sig, pos) for sig, pos in by_target.items()])
+                              for b, by_target in by_label.items()]
     return buckets

@@ -139,6 +139,13 @@ def _compile_entry(cg, entry: str, engine: str) -> Fsa:
     return machine
 
 
+def _canonical_entry(args, config) -> tuple[str, Fsa]:
+    """The entry that ``compile`` and ``dump-dot`` name, and its canonical machine."""
+    cg = compile_grammar(_read_grammar(args.grammar))
+    entry = args.entry or _default_entry(cg)
+    return entry, canonical(_compile_entry(cg, entry, _resolve_engine(args, config)))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -150,9 +157,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_compile(args, config) -> int:
-    cg = compile_grammar(_read_grammar(args.grammar))
-    entry = args.entry or _default_entry(cg)
-    machine = canonical(_compile_entry(cg, entry, _resolve_engine(args, config)))
+    entry, machine = _canonical_entry(args, config)
     counts = f"{entry}: {machine.n} states, {len(machine.raw_arcs)} arcs\n"
     if args.output is None:
         _emit(dump_text(machine), None)
@@ -166,9 +171,7 @@ def cmd_compile(args, config) -> int:
 def cmd_dump_dot(args, config) -> int:
     from .dump import dump_dot
 
-    cg = compile_grammar(_read_grammar(args.grammar))
-    entry = args.entry or _default_entry(cg)
-    machine = canonical(_compile_entry(cg, entry, _resolve_engine(args, config)))
+    entry, machine = _canonical_entry(args, config)
     _emit(dump_dot(machine, name=entry), args.output)
     return EXIT_OK
 

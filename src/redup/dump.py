@@ -1,8 +1,11 @@
 """Plain-text and Graphviz serializations of automata.
 
 The text dump is deterministic (states renumbered, arcs sorted) so two runs
-over the same machine produce byte-identical files; labels are written as
-exact symbol-set expressions that round-trip through the expression language.
+over the same machine produce byte-identical files. Labels are written as
+exact symbol-set expressions in a dump dialect of their own
+(``Alphabet.format_label_expr``); they do not in general parse as grammar
+expressions, and today only the test oracle ``_eval_expr`` in
+``tests/test_alphabet.py`` reads them back.
 """
 
 from __future__ import annotations

@@ -11,17 +11,16 @@ An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
 for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 ``compiler`` works on that form directly. ``arcs`` is a view of the same
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
-The product kernel (``_kernel.product``) takes two machines and reads
-three more caches of each itself. ``label_index`` holds the arcs of each
-state with many out-arcs grouped by label, and each group split by its
-arcs' targets into the sub-buckets an open product tests. An open product
-also reads ``out_bits``, the OR of each state's out-arc labels, with which
-it skips dead-end pairs, and, at its first high-fan-out pair,
-``rest_bounds``, the fewest and the most segment symbols left on a path
-from each state to a final, with which it skips pairs whose remaining
-lengths cannot meet. A closed product reads neither. None of the caches,
-nor the trim mark below, takes part in equality, hashing, pickling or
-copies.
+An open product (``_kernel.product``) reads three more caches of each
+machine itself. ``label_index`` holds the arcs of each state with many
+out-arcs grouped by label, and each group split by its arcs' targets into
+the sub-buckets the product tests. ``out_bits``, the OR of each state's
+out-arc labels, lets it skip dead-end pairs, and ``rest_bounds``, read at
+its first high-fan-out pair, the fewest and the most segment symbols left
+on a path from each state to a final, lets it skip pairs whose remaining
+lengths cannot meet. A closed product reads none of them. None of the
+caches, nor the trim mark below, takes part in equality, hashing, pickling
+or copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``.
@@ -183,13 +182,12 @@ class Fsa(Frozen):
     def label_index(self) -> dict:
         """The product kernel's cache of label indexes, by state.
 
-        ``_kernel.product`` fills it for the high-fan-out states it visits:
-        under a state q, its arcs' positions grouped by label, and under
-        ``~q``, once an open product needs them, those groups split into
-        sub-buckets by their targets' out-labels, finality and bounds. A
-        machine used in many products (a compiled lexicon) so groups and
-        splits its arcs once. Like the adjacency, it is left out of
-        equality, hashing, pickling and copies.
+        An open ``_kernel.product`` fills it for the high-fan-out states it
+        visits: under a state q, its arcs' positions grouped by label bits,
+        each group split into sub-buckets by their targets' out-labels,
+        finality and bounds. A machine used in many open products (a
+        compiled lexicon) so groups and splits its arcs once. Like the
+        adjacency, it is left out of equality, hashing, pickling and copies.
         """
         index = self._index
         if index is None:

@@ -190,8 +190,8 @@ def pruned(alphabet, result):
 
 
 def every_state_indexed():
-    """Lower the kernel's fan-out cutoff to its minimum: every state with an
-    arc is then paired through its label index."""
+    """Lower the kernel's fan-out cutoff to its minimum: an open product
+    then pairs every state with an arc through its label index."""
     return mock.patch.object(_kernel, "FANOUT", 1)
 
 
@@ -363,11 +363,15 @@ def test_indexed_state_keeps_the_plain_loop_order(ab, closed, lexicon_side):
         plain = run()  # no state reaches the cutoff: the plain double loop
     assert lexicon.label_index() == {}
     check(run())
-    start = lexicon.start
-    start_arcs = lexicon.out_raw()[start]
-    # an open product also splits the label groups into sub-buckets, under ~q
-    assert list(lexicon.label_index()) == ([start] if closed else [start, ~start])
-    assert len(lexicon.label_index()[start]) == len({(b, pc) for _s, _d, b, pc in start_arcs})
+    if closed:
+        # a closed product pairs every state through the plain loop
+        assert lexicon.label_index() == {}
+    else:
+        # one group per distinct label bits, whatever the arcs' pc
+        start = lexicon.start
+        start_arcs = lexicon.out_raw()[start]
+        assert list(lexicon.label_index()) == [start]
+        assert len(lexicon.label_index()[start]) == len({b for _s, _d, b, _pc in start_arcs})
     assert query.label_index() == {}
     check(run())  # from the cached index
 

@@ -270,6 +270,35 @@ def count_bounds():
         fsa_module, "_rest_bounds", lambda m: calls.append(m.n) or compute(m))
 
 
+def compile_wordform_and_shipped_entries(stems):
+    """Compile the Koasati wordform of `stems` and every parameterless entry
+    of the shipped grammars; return the wordform's grammar and machine."""
+    cg = compile_grammar(koasati.grammar_text(grammar_source("koasati"), stems))
+    machine = cg.compile(koasati.ENTRY)
+    for grammar in GRAMMAR_NAMES:
+        shipped = compile_grammar(grammar_source(grammar))
+        for name, macro in shipped.macros.items():
+            if not macro.params:
+                shipped.compile(name)
+    return cg, machine
+
+
+def test_compiles_index_no_state():
+    """A compile's open products meet no high-fan-out state, and its closed
+    product pairs every state through the plain loop: no operand of any of
+    its products gets a label index, not even a lexicon's start state."""
+    indexed, product = [], _kernel.product
+
+    def recording(a, b, live=None):
+        result = product(a, b, live)
+        indexed.extend((live is None, m.n) for m in (a, b) if m.label_index())
+        return result
+
+    with mock.patch.object(_kernel, "product", recording):
+        compile_wordform_and_shipped_entries(koasati.stems(1, 400))
+    assert indexed == []
+
+
 def test_compiles_compute_no_bounds_and_a_parse_computes_the_lexicons_once():
     """A compile's open products meet no high-fan-out state: its lexicon
     joins the one closed product, which uses no bounds. A parse against the
@@ -277,13 +306,7 @@ def test_compiles_compute_no_bounds_and_a_parse_computes_the_lexicons_once():
     calls, patch = count_bounds()
     stems = koasati.stems(1, 400)
     with patch:
-        cg = compile_grammar(koasati.grammar_text(grammar_source("koasati"), stems))
-        machine = cg.compile(koasati.ENTRY)
-        for grammar in GRAMMAR_NAMES:
-            shipped = compile_grammar(grammar_source(grammar))
-            for name, macro in shipped.macros.items():
-                if not macro.params:
-                    shipped.compile(name)
+        cg, machine = compile_wordform_and_shipped_entries(stems)
         assert calls == []
         for form in sorted(koasati.lexicon_forms(stems))[:3]:
             chain = prepare_parse_input(cg.alphabet, form)
