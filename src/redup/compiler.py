@@ -40,6 +40,7 @@ from .enrich import add_repeats, add_self_loops, add_skips
 from .errors import DEFAULT_BUDGET, CompileError
 from .fsa import (
     Fsa,
+    _marked,
     build_from_string,
     combine,
     determinize,
@@ -85,12 +86,12 @@ def compile_rule(alphabet: Alphabet, subject: int, outcome: int, context: int) -
 
     if not banned:
         arc(0, alphabet.sigma, 0)
-        return Fsa.from_raw(alphabet, 1, 0, frozenset({0}), tuple(arcs), check=True)
+        return _marked(Fsa.from_raw(alphabet, 1, 0, frozenset({0}), tuple(arcs), check=True))
     arc(0, alphabet.complement(banned), 0)
     arc(0, banned, 1)
     arc(1, banned & alphabet.complement(context), 1)
     arc(1, alphabet.complement(banned | context), 0)
-    return Fsa.from_raw(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs), check=True)
+    return _marked(Fsa.from_raw(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs), check=True))
 
 
 def _symbol(al: Alphabet, bits: int, pc: bool) -> Fsa:
@@ -99,18 +100,14 @@ def _symbol(al: Alphabet, bits: int, pc: bool) -> Fsa:
     The evaluator rejects empty sets before calling this, and every set it
     builds lies inside sigma, so the machine needs no validation.
     """
-    return Fsa.from_raw(al, 2, 0, frozenset({1}), ((0, 1, bits, pc),))
+    return _marked(Fsa.from_raw(al, 2, 0, frozenset({1}), ((0, 1, bits, pc),)))
 
 
 def _retyped(machine: Fsa, pc: bool) -> Fsa:
-    """The same machine with every arc made producer (pc) or consumer."""
-    return Fsa.from_raw(
-        machine.alphabet,
-        machine.n,
-        machine.start,
-        machine.finals,
-        tuple((s, d, b, pc) for s, d, b, _pc in machine.raw_arcs),
-    )
+    """The same machine, as trim, with every arc made producer (pc) or consumer."""
+    arcs = tuple((s, d, b, pc) for s, d, b, _pc in machine.raw_arcs)
+    m = Fsa.from_raw(machine.alphabet, machine.n, machine.start, machine.finals, arcs)
+    return _marked(m, machine._trim)
 
 
 def not_contains(machine: Fsa) -> Fsa:
@@ -263,10 +260,10 @@ class _Evaluator:
         key = id(node)
         if key in self.memo:
             return self.memo[key]
-        method = getattr(self, "_eval_" + type(node).__name__.lower(), None)
+        method = _EVAL.get(type(node))
         if method is None:
             raise CompileError(f"cannot compile {type(node).__name__}")
-        value = method(node, env)
+        value = method(self, node, env)
         if key in self.hoisted:
             self.memo[key] = value
         return value
@@ -419,3 +416,11 @@ class _Evaluator:
             return self.eval(macro.body, bound)
         finally:
             self.stack.pop()
+
+
+# node class -> the `_Evaluator` method that evaluates it, looked up once
+_EVAL = {
+    node: getattr(_Evaluator, "_eval_" + node.__name__.lower())
+    for node in (dsl.Empty, dsl.Str, dsl.Quoted, dsl.Var, dsl.Name, dsl.Call, dsl.Concat,
+                 dsl.Union, dsl.Star, dsl.Opt, dsl.Not, dsl.And, dsl.Rule)
+}

@@ -29,12 +29,16 @@ A machine built by search from its start state is reachable by
 construction: the product's output, the subset constructions of
 ``determinize`` and ``minimize``, and ``lazy.materialize``. These are pruned
 with ``prune``, the backward half of ``trim``, which builds no adjacency.
-Machines built by splicing or filtering arcs (``combine``, ``close`` of one
-machine, ``project_surface``) can have unreachable states and use ``trim``.
-``trim`` and ``prune`` mark what they return as trim, as does the closed
-product of ``interpret.close``, and return a marked machine at once;
-``is_empty`` answers it without a walk. The canonical empty machine is
-never marked, and they return it as it is too.
+Machines built by filtering arcs (``close`` of one machine,
+``project_surface``) can have dead states and use ``trim``. ``trim`` and
+``prune`` mark what they return as trim, and return a marked machine at
+once; ``is_empty`` answers it without a walk. The builders whose output is
+trim by construction mark it: ``empty_string_fsa``, ``symbol_fsa``,
+``build_from_string``, ``combine`` (which trims no result, see there), the
+closed product of ``interpret.close`` and the compiler's symbol and rule
+machines. Enriching or retyping arcs keeps every state live, and so keeps
+the operand's mark. The canonical empty machine is never marked, and they
+return it as it is too.
 
 ``combine`` builds no epsilon edges: where concatenation, union, star or
 option would enter a part's start state by one, the source takes a copy of
@@ -292,6 +296,13 @@ def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
     _set(m, "_hash", None)
 
 
+def _marked(m: Fsa, mark: bool = True) -> Fsa:
+    """`m`, its trim mark set to `mark`: for a builder whose result is trim
+    by construction, or as trim as the operand it was built from."""
+    _set(m, "_trim", mark)
+    return m
+
+
 def _rest_bounds(a: Fsa) -> tuple[list[int], list[int]]:
     """`Fsa.rest_bounds`, computed: a 0-1 breadth-first search back from
     the finals for ``lo``, then longest paths over the states that reach a
@@ -346,7 +357,7 @@ def _rest_bounds(a: Fsa) -> tuple[list[int], list[int]]:
 
 def empty_string_fsa(alphabet: Alphabet) -> Fsa:
     """Accepts exactly the empty string."""
-    return Fsa.from_raw(alphabet, 1, 0, frozenset({0}), ())
+    return _marked(Fsa.from_raw(alphabet, 1, 0, frozenset({0}), ()))
 
 
 def never_fsa(alphabet: Alphabet) -> Fsa:
@@ -356,7 +367,7 @@ def never_fsa(alphabet: Alphabet) -> Fsa:
 
 def symbol_fsa(alphabet: Alphabet, bits: int, pc: bool = False) -> Fsa:
     """Accepts exactly one symbol drawn from `bits`."""
-    return Fsa.from_raw(alphabet, 2, 0, frozenset({1}), ((0, 1, bits, pc),), check=True)
+    return _marked(Fsa.from_raw(alphabet, 2, 0, frozenset({1}), ((0, 1, bits, pc),), check=True))
 
 
 def build_from_string(
@@ -385,7 +396,7 @@ def build_from_string(
                 )
         arcs.append((i, i + 1, bits, pc))
     # Every label is a non-empty subset of a token's mask: nothing to validate.
-    return Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
+    return _marked(Fsa.from_raw(alphabet, len(arcs) + 1, 0, frozenset({len(arcs)}), tuple(arcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +412,15 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
     start state's out-arcs instead (and its finality, if the start is final):
     the fresh start for every kind, each final of a concatenated part
     (chaining on through every following part whose start is final), and the
-    finals of a starred part. A union drops the parts that have no finals
-    first, and a concatenation with such a part is `never_fsa` at once, so
-    `trim` has no dead part to cut out. The result is then trimmed.
+    finals of a starred part.
+
+    The result is built trim, and marked so. An unmarked part is trimmed
+    first (a state dead in its part is dead in the layout); then a union
+    drops the parts that have no finals, and a concatenation with such a
+    part is `never_fsa`. With every part trim, the only dead states of the
+    layout are part starts that no arc of their own enters (a self-loop
+    counts), since their out-arcs are copied: they are left out with those
+    arcs, and the rest numbered in layout order, as `trim` numbers them.
 
     Arcs are copied as they are, producer/consumer bits included. Each state
     has the arc set it had when `combine` removed epsilon edges with
@@ -427,6 +444,7 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
         return never_fsa(alphabet)
     if kind not in ("concat", "union", "star", "optional"):
         raise AutomatonError(f"unknown combine kind {kind!r}")
+    parts = [p if p._trim else trim(p) for p in parts]
     if kind == "union":
         parts = [p for p in parts if p.finals]
         if not parts:
@@ -434,20 +452,26 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
     elif kind == "concat" and not all(p.finals for p in parts):
         return never_fsa(alphabet)
 
+    # a part's start is live iff an arc of its own enters it
+    entered = [any(d == p.start for _s, d, _b, _pc in p.raw_arcs) for p in parts]
     # one int object per state id, shared by every arc that names it
-    ids = list(range(sum(p.n for p in parts) + 1))
+    ids = list(range(sum(p.n for p in parts) - entered.count(False) + 1))
     root = ids[-1]  # the fresh start state
     arcs: list[RawArc] = []
     heads: list[list[tuple[int, int, bool]]] = []  # per part: its start's out-arcs
     part_finals: list[list[int]] = []
     offset = 0
-    for p in parts:
-        loc = ids[offset:offset + p.n]
+    for p, live in zip(parts, entered):
         raw, start = p.raw_arcs, p.start
-        arcs.extend(raw if not offset else [(loc[s], loc[d], b, pc) for s, d, b, pc in raw])
+        if live:
+            loc = ids[offset:offset + p.n]
+            arcs.extend(raw if not offset else [(loc[s], loc[d], b, pc) for s, d, b, pc in raw])
+        else:  # dead: drop it and its out-arcs, which `heads` copies
+            loc = ids[offset:offset + start] + [-1] + ids[offset + start:offset + p.n - 1]
+            arcs.extend([(loc[s], loc[d], b, pc) for s, d, b, pc in raw if s != start])
         heads.append([(loc[d], b, pc) for s, d, b, pc in raw if s == start])
-        part_finals.append([loc[q] for q in p.finals])
-        offset += p.n
+        part_finals.append([loc[q] for q in p.finals if live or q != start])
+        offset += p.n - (not live)
 
     def splice(q: int, head: list[tuple[int, int, bool]]) -> None:
         arcs.extend([(q, d, b, pc) for d, b, pc in head])
@@ -480,12 +504,12 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
         head, finals = heads[0], part_finals[0] + [root]
         splice(root, head)
         if kind == "star":
-            start = ids[parts[0].start]
+            start = loc[parts[0].start]  # -1 if dead
             for f in part_finals[0]:
                 if f != start:
                     splice(f, head)
 
-    return trim(Fsa.from_raw(alphabet, len(ids), root, frozenset(finals), tuple(arcs)))
+    return _marked(Fsa.from_raw(alphabet, len(ids), root, frozenset(finals), tuple(arcs)))
 
 
 def _remove_epsilons(
@@ -605,8 +629,7 @@ def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
         return never_fsa(a.alphabet)
     kept = keep.count(1)
     if kept == n:
-        _set(a, "_trim", True)
-        return a
+        return _marked(a)
     remap = [-1] * n
     i = 0
     for q in range(n):
@@ -618,10 +641,8 @@ def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
         for s, d, b, pc in raw
         if (rs := remap[s]) >= 0 and (rd := remap[d]) >= 0
     ])
-    m = Fsa.from_raw(a.alphabet, kept, remap[start],
-                     frozenset(remap[q] for q in finals if keep[q]), arcs)
-    _set(m, "_trim", True)
-    return m
+    return _marked(Fsa.from_raw(a.alphabet, kept, remap[start],
+                                frozenset(remap[q] for q in finals if keep[q]), arcs))
 
 
 def label_atoms(labels: Iterable[int]) -> list[int]:

@@ -18,7 +18,7 @@ from typing import Sequence
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Fsa, _set, never_fsa, prune, trim
+from .fsa import Fsa, _marked, _set, never_fsa, prune, trim
 
 
 _is_producer = itemgetter(3)  # of a raw (src, dst, bits, pc) arc
@@ -102,9 +102,7 @@ def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
         stats.record(len(live))
     if a.start * b.n + b.start not in live:
         return never_fsa(a.alphabet)
-    m = _product(a, b, live)[0]
-    _set(m, "_trim", True)
-    return m
+    return _marked(_product(a, b, live)[0])
 
 
 def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:

@@ -20,6 +20,7 @@ from redup.compiler import (
     ignore_technicals,
     not_contains,
 )
+from redup import dsl
 from redup.dsl import Call, Concat, Name
 from redup.errors import CompileError
 from redup.fsa import (
@@ -340,6 +341,23 @@ def test_macro_may_not_shadow_a_set():
 def test_string_to_automaton_wants_a_string(cg):
     with pytest.raises(CompileError, match="expects a string"):
         cg.compile("stringToAutomaton(vowel)")
+
+
+@pytest.mark.parametrize("node, name", [
+    (dsl.Token("name", "a", 1, 1), "Token"),
+    (Concat((Name("a"), dsl.Macro("f", (), Name("a")))), "Macro"),
+    (("a", "b"), "tuple"),
+    (None, "NoneType"),
+])
+def test_a_value_of_no_expression_type_cannot_compile(cg, node, name):
+    with pytest.raises(CompileError, match=f"^cannot compile {name}$"):
+        cg.compile(node)
+
+
+def test_every_expression_node_has_an_evaluator():
+    nodes = {cls for cls in vars(dsl).values()
+             if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")}
+    assert set(redup.compiler._EVAL) == nodes - {dsl.Token, dsl.Macro, dsl.Grammar}
 
 
 def test_rule_parts_must_be_sets(cg):

@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redup import _kernel
+from redup.analyses import GRAMMAR_NAMES, load_grammar
+from redup.compiler import _Evaluator, _retyped, compile_rule
 from redup.enrich import add_repeats, add_self_loops, add_skips
 from redup.errors import AutomatonError
 from redup.fsa import (
@@ -34,10 +36,12 @@ from redup.fsa import (
     canonical,
     combine,
     determinize,
+    empty_string_fsa,
     is_empty,
     minimize,
     project_surface,
     prune,
+    symbol_fsa,
     trim,
     _set,
 )
@@ -486,29 +490,79 @@ def test_copies_and_pickles_compare_equal(ab):
 
 
 def test_trim_returns_a_live_machine_unchanged(ab):
-    m = build_from_string(ab, "ab")
-    assert trim(m) is m
+    m = unmarked(build_from_string(ab, "ab"))  # a builder's machine comes marked
+    assert trim(m) is m and m._trim
 
 
 # -- the trim mark ---------------------------------------------------------------------
+
+
+def unmarked(m):
+    """A copy of `m` that is not marked trim."""
+    return Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
+
+
+def check_marks(ms):
+    for m in ms:
+        if not m._trim:
+            continue
+        fresh = unmarked(m)
+        assert not fresh._trim
+        assert trim(fresh) == m
+        assert not is_empty(fresh)
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and not twin._trim
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_the_trim_mark_never_lies(ab, data):
     a, b = random_parts(ab, data.draw, 2)
+    # the enrichments and the retyping keep the mark, of an unmarked operand
+    # (`trim` below can mark `a` itself) and of a marked one
+    operands = (unmarked(a), trim(b))
+    kept = [m for operand in operands for m in (
+        add_self_loops(operand), add_skips(operand), add_repeats(operand),
+        _retyped(operand, False), _retyped(operand, True))]
+    assert [m._trim for m in kept] == [o._trim for o in operands for _ in range(5)]
     made = [trim(a), close(a), close(a, b), intersect_open(a, b), combine("concat", [a, b]),
             combine("star", [a]), determinize(a), minimize(a), project_surface(a)]
+    sets = [0, ab.char("a"), ab.char("b"), ab.named_set("mora"), ab.named_set("vowel")]
+    subject, more, context = (data.draw(st.sampled_from(sets)) for _ in range(3))
+    built = [build_from_string(ab, data.draw(st.sampled_from(("", "a", "bab")))),
+             empty_string_fsa(ab), symbol_fsa(ab, ab.char("a") | ab.char("b"), True),
+             compile_rule(ab, subject, subject | more, context)]
+    marked = data.draw(st.lists(
+        st.sampled_from([m for m in made + built + kept if m._trim]), min_size=1, max_size=3))
+    built.append(combine(data.draw(st.sampled_from(("concat", "union"))), marked))
+    built.append(combine(data.draw(st.sampled_from(("star", "optional"))), marked[:1]))
+    assert all(m._trim for m in built)
     made += [close(m) for m in made]
-    for m in made:
-        if not m._trim:
-            continue
-        fresh = Fsa.from_raw(ab, m.n, m.start, m.finals, m.raw_arcs)
-        assert not fresh._trim
-        assert trim(fresh) == m
-        assert not is_empty(fresh)
-        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-            assert twin == m and not twin._trim
+    check_marks(made + built + kept)
+
+
+def test_every_machine_a_compile_marks_is_trim():
+    """The eager evaluator returns only marked machines while it compiles
+    the parameterless shipped entries, and each is trim. An empty machine,
+    retyped, stays unmarked."""
+    seen = {}
+    real = _Evaluator.eval
+
+    def recording(self, node, env):
+        value = real(self, node, env)
+        if isinstance(value, Fsa):
+            seen[id(value)] = value
+        return value
+
+    with mock.patch.object(_Evaluator, "eval", recording):
+        for name in GRAMMAR_NAMES:
+            cg = load_grammar(name)
+            for entry, macro in cg.macros.items():
+                if not macro.params:
+                    cg.compile(entry)
+    assert len(seen) > 900 and all(m._trim for m in seen.values())
+    check_marks(seen.values())
+    assert not load_grammar("koasati").compile("consumer([t] & vowel)")._trim
 
 
 def test_a_product_stays_marked_through_close_trim_and_is_empty(ab):
