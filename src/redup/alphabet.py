@@ -248,6 +248,10 @@ class Alphabet(Frozen):
     def members(self, bits: int) -> list[Symbol]:
         return [s for i, s in enumerate(self.symbols) if bits >> i & 1]
 
+    def tokens_of(self, bits: int) -> list[str]:
+        """The tokens with at least one variant in `bits`, in inventory order."""
+        return [c for c in self.chars if bits & self._char_mask[c]]
+
     # -- tokenization --------------------------------------------------------
 
     def tokenize(self, text: str) -> list[str]:
@@ -294,7 +298,7 @@ class Alphabet(Frozen):
         if not seg_bits:
             return tech_part[0] if len(tech_part) == 1 else "{%s}" % ",".join(tech_part)
         members = self.members(seg_bits)
-        chars = sorted({s.char for s in members}, key=self.chars.index)
+        chars = self.tokens_of(seg_bits)
         char_part = chars[0] if len(chars) == 1 else "{%s}" % ",".join(chars)
         syncs = {s.sync for s in members}
         moras = {s.mora for s in members}

@@ -286,13 +286,7 @@ def main(argv=None) -> int:
     try:
         config = _read_config(args.config) if args.config else {}
         return args.run(args, config)
-    except _UsageError as err:
-        sys.stderr.write(f"redup: {err}\n")
-        return EXIT_USAGE
-    except RedupError as err:
-        sys.stderr.write(f"redup: {err}\n")
-        return EXIT_USAGE
-    except OSError as err:
+    except (_UsageError, RedupError, OSError) as err:
         sys.stderr.write(f"redup: {err}\n")
         return EXIT_USAGE
 

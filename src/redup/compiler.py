@@ -50,6 +50,10 @@ from .fsa import (
 )
 from .interpret import ProductStats, close, closing_order, intersect_open
 
+# how many definitions one expansion may nest, so that a chain of them
+# raises instead of exhausting Python's stack
+MAX_CALL_DEPTH = 100
+
 _ENRICH_FN = {
     "add_self_loops": add_self_loops,
     "add_skips": add_skips,
@@ -143,14 +147,6 @@ def ignore_technicals(machine: Fsa) -> Fsa:
     return trim(Fsa.from_raw(al, machine.n, machine.start, machine.finals, tuple(arcs)))
 
 
-def _children(node):
-    for value in node:
-        if hasattr(value, "_fields"):
-            yield value
-        elif isinstance(value, tuple):
-            yield from value
-
-
 def _hoisted_subtrees(body) -> list:
     """The largest subtrees of a macro body that use no parameter.
 
@@ -160,7 +156,7 @@ def _hoisted_subtrees(body) -> list:
     found = []
 
     def uses_var(node) -> bool:
-        kids = list(_children(node))
+        kids = list(dsl._children(node))
         flags = [uses_var(k) for k in kids]
         if isinstance(node, dsl.Var) or any(flags):
             found.extend(k for k, f in zip(kids, flags) if not f)
@@ -407,9 +403,11 @@ class _Evaluator:
             raise CompileError(
                 f"{name} takes {len(macro.params)} argument(s), got {len(args)}"
             )
-        if name in self.stack:
+        if name in self.stack or len(self.stack) == MAX_CALL_DEPTH:
             chain = " -> ".join(self.stack + [name])
-            raise CompileError(f"recursive definition: {chain}")
+            if name in self.stack:
+                raise CompileError(f"recursive definition: {chain}")
+            raise CompileError(f"definitions nested more than {MAX_CALL_DEPTH} deep: {chain}")
         bound = {p: self.eval(a, env) for p, a in zip(macro.params, args)}
         self.stack.append(name)
         try:

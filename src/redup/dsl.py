@@ -14,6 +14,11 @@ style).  Expressions combine symbol sets and automata:
 
 `%` starts a comment.  Parsing is purely syntactic here; name resolution and
 set-versus-machine typing happen in the compiler.
+
+An expression nests at most `MAX_NESTING` levels deep, so neither the
+parser nor the compiler recurses without bound: each bracket, brace,
+parenthesis, call argument list, `~` and postfix `*`/`^` is one level, and
+a postfix operand's nodes count in full (`&` included).
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from typing import NamedTuple
 from .errors import GrammarError
 
 GRAMMAR_NAMES = ("bambara", "semai", "koasati")
+
+MAX_NESTING = 100
 
 BUILTIN_NAMES = frozenset(
     {
@@ -72,7 +79,7 @@ def tokenize_source(src: str) -> list[Token]:
     the end of the input.
     """
     toks: list[Token] = []
-    make = Token._make
+    new = tuple.__new__  # Token._make without its length check, which costs more
     for line, text in enumerate(src.split("\n"), 1):
         end = len(text) + 1  # the eof column, if this is the last line
         for m in _LEXEME.finditer(text):
@@ -83,9 +90,9 @@ def tokenize_source(src: str) -> list[Token]:
                 c = word[0]
                 if not (c.isalpha() or c == "_"):
                     raise GrammarError(f"unexpected character {c!r}", line, col)
-                toks.append(make(("var" if c.isupper() else "name", word, line, col)))
+                toks.append(new(Token, ("var" if c.isupper() else "name", word, line, col)))
             elif kind == "punct":
-                toks.append(make(("punct", m.group(kind), line, col)))
+                toks.append(new(Token, ("punct", m.group(kind), line, col)))
             elif kind == "comment":
                 end = col
                 break
@@ -95,8 +102,8 @@ def tokenize_source(src: str) -> list[Token]:
                     raise GrammarError("unterminated quote", line, col)
                 raise GrammarError(f"unexpected character {c!r}", line, col)
             else:  # string or qname
-                toks.append(make((kind, m.group(kind)[1:-1], line, col)))
-    toks.append(make(("eof", "", line, end)))
+                toks.append(new(Token, (kind, m.group(kind)[1:-1], line, col)))
+    toks.append(new(Token, ("eof", "", line, end)))
     return toks
 
 
@@ -168,19 +175,45 @@ _CONTINUES = frozenset({"(", "*", "^", "&", "-->"})
 _LEAVES = {"string": Str, "qname": Quoted, "var": Var, "name": Name}
 
 
+def _children(node):
+    """The expression nodes directly under `node`."""
+    for value in node:
+        if hasattr(value, "_fields"):
+            yield value
+        elif isinstance(value, tuple):
+            yield from value
+
+
+def _height(node) -> int:
+    """The number of nodes on the longest path down from `node`'s root."""
+    height, level = 0, [node]
+    while level := [k for n in level for k in _children(n)]:
+        height += 1
+    return height
+
+
 class _Parser:
     """Recursive descent over the token list.
 
     Per token it keeps the punct text (None for other tokens), so `at` is
     one list index and no token attribute lookup, and `expr` returns a leaf
     followed by a token that cannot extend it without descending through
-    the precedence levels.
+    the precedence levels. `depth` counts the constructs open around the
+    current token, and a postfix run counts its operand's height on top.
     """
 
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
         self.punct = [t.text if t.kind == "punct" else None for t in toks]
+        self.depth = 0
+
+    def enter(self) -> None:
+        """Open one more level at the token just read; fail beyond `MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.toks[self.pos - 1]
+            raise GrammarError(f"expression nested more than {MAX_NESTING} deep", t.line, t.col)
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -229,24 +262,29 @@ class _Parser:
     def unary(self):
         if self.at("~"):
             self.next()
-            return Not(self.unary())
+            self.enter()
+            node = Not(self.unary())
+            self.depth -= 1
+            return node
         return self.postfix()
 
     def postfix(self):
         node = self.primary()
-        punct = self.punct
-        while True:
-            p = punct[self.pos]
-            if p == "*":
-                self.pos += 1
-                node = Star(node)
-            elif p == "^":
-                self.pos += 1
-                node = Opt(node)
-            else:
-                return node
+        p = self.punct[self.pos]
+        if p != "*" and p != "^":
+            return node
+        outer = self.depth
+        self.depth += _height(node)
+        while p == "*" or p == "^":
+            self.pos += 1
+            self.enter()
+            node = Star(node) if p == "*" else Opt(node)
+            p = self.punct[self.pos]
+        self.depth = outer
+        return node
 
     def seq(self, closer: str) -> tuple:
+        self.enter()
         items = []
         punct = self.punct
         if punct[self.pos] != closer:
@@ -255,14 +293,17 @@ class _Parser:
                 self.pos += 1
                 items.append(self.expr())
         self.expect(closer)
+        self.depth -= 1
         return tuple(items)
 
     def primary(self):
         t = self.next()
         if t.kind == "punct":
             if t.text == "(":
+                self.enter()
                 node = self.expr()
                 self.expect(")")
+                self.depth -= 1
                 return node
             if t.text == "[":
                 items = self.seq("]")

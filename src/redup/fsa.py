@@ -40,10 +40,11 @@ machines. Enriching or retyping arcs keeps every state live, and so keeps
 the operand's mark. The canonical empty machine is never marked, and they
 return it as it is too.
 
-``combine`` builds no epsilon edges: where concatenation, union, star or
-option would enter a part's start state by one, the source takes a copy of
-that state's out-arcs. Only ``project_surface``, which erases technical
-arcs, still builds epsilon edges and removes them with ``_remove_epsilons``.
+No operation builds epsilon edges. Where concatenation, union, star or
+option would enter a part's start state by one, ``combine`` gives the
+source a copy of that state's out-arcs. ``project_surface`` erases
+technical arcs the same way: each state takes a copy of the segment arcs of
+every state its technical arcs lead to.
 
 The three enumerators (``enumerate_language``, ``enumerate_label_paths``,
 ``surface_strings``) share one level-by-level walk over ``out_raw``. They
@@ -422,11 +423,9 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
     counts), since their out-arcs are copied: they are left out with those
     arcs, and the rest numbered in layout order, as `trim` numbers them.
 
-    Arcs are copied as they are, producer/consumer bits included. Each state
-    has the arc set it had when `combine` removed epsilon edges with
-    `_remove_epsilons`, but that pass also merged duplicate arcs, and this
-    construction does not: a part's own duplicate arcs survive, as does the
-    second copy a starred final gets of an arc it shares with its start.
+    Arcs are copied as they are, producer/consumer bits included, and
+    duplicates are not merged: a part's own duplicate arcs survive, as does
+    the second copy a starred final gets of an arc it shares with its start.
     """
     if parts:
         alphabet = parts[0].alphabet
@@ -510,44 +509,6 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
                     splice(f, head)
 
     return _marked(Fsa.from_raw(alphabet, len(ids), root, frozenset(finals), tuple(arcs)))
-
-
-def _remove_epsilons(
-    alphabet: Alphabet,
-    n: int,
-    start: int,
-    finals: set[int],
-    arcs: list[RawArc],
-    eps: list[tuple[int, int]],
-) -> Fsa:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for s, d in eps:
-        adj[s].append(d)
-    by_src: list[list[RawArc]] = [[] for _ in range(n)]
-    for arc in arcs:
-        by_src[arc[0]].append(arc)
-    out: list[RawArc] = []
-    new_finals: set[int] = set()
-    for q in range(n):
-        closure: Iterable[int] = (q,)
-        if adj[q]:
-            closure = {q}
-            stack = [q]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in closure:
-                        closure.add(nxt)
-                        stack.append(nxt)
-        seen: set[tuple[int, int, bool]] = set()
-        for p in closure:
-            for _s, d, b, pc in by_src[p]:
-                key = (d, b, pc)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((q, d, b, pc))
-            if p in finals:
-                new_finals.add(q)
-    return Fsa.from_raw(alphabet, n, start, frozenset(new_finals), tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -916,13 +877,13 @@ def surface_path(alphabet: Alphabet, path: Iterable[int | Label]) -> str:
             bits = step.bits & alphabet.seg
             if not bits:
                 continue
-            toks = {s.char for s in alphabet.members(bits)}
+            toks = alphabet.tokens_of(bits)
             if len(toks) > 1:
                 raise AutomatonError(
                     f"label covers several tokens ({sorted(toks)}); "
                     "surface projection is ambiguous"
                 )
-            chars.append(toks.pop())
+            chars.append(toks[0])
         else:
             sym = alphabet.symbols[step]
             if sym.char is not None:
@@ -933,28 +894,37 @@ def surface_path(alphabet: Alphabet, path: Iterable[int | Label]) -> str:
 def project_surface(a: Fsa) -> Fsa:
     """Erase attributes and technical symbols from an automaton.
 
-    Technical arcs become epsilon transitions (removed), and every segment
-    label widens to all variants of the tokens it mentions, so the projected
-    language is exactly the set of surface strings.
+    Each state q takes over its technical closure: q, then every state
+    reached over arcs whose labels hold a technical symbol, breadth first.
+    q is final if a state of its closure is, and every arc with segment
+    symbols that leaves a state of the closure leaves q too, its label
+    widened to all variants of the tokens it mentions (a label holding both
+    kinds is followed and copied). So the projected language is exactly the
+    set of surface strings. A state copies an arc once, and the result is
+    trimmed.
     """
     al = a.alphabet
-    seg, tech = al.seg, al.tech
-    widened: dict[int, int] = {}  # segment bits -> all variants of their tokens
+    tech, finals, out = al.tech, a.finals, a.out_raw()
+    widened: dict[int, int] = {}  # label bits -> all variants of their tokens
     arcs: list[RawArc] = []
-    eps: list[tuple[int, int]] = []
-    for src, dst, bits, pc in a.raw_arcs:
-        if bits & tech:
-            eps.append((src, dst))
-        seg_bits = bits & seg
-        if seg_bits:
-            wide = widened.get(seg_bits)
-            if wide is None:
-                wide = 0
-                for tok in {s.char for s in al.members(seg_bits)}:
-                    wide |= al.char(tok)
-                widened[seg_bits] = wide
-            arcs.append((src, dst, wide, pc))
-    return trim(_remove_epsilons(al, a.n, a.start, set(a.finals), arcs, eps))
+    new_finals: set[int] = set()
+    for q in range(a.n):
+        closure, seen = [q], {q}
+        copied: set[tuple[int, int, bool]] = set()
+        for p in closure:  # the list grows as the walk finds states
+            if p in finals:
+                new_finals.add(q)
+            for _s, d, bits, pc in out[p]:
+                if bits & tech and d not in seen:
+                    seen.add(d)
+                    closure.append(d)
+                wide = widened.get(bits)
+                if wide is None:
+                    wide = widened[bits] = sum(map(al.char, al.tokens_of(bits)))
+                if wide and (d, wide, pc) not in copied:
+                    copied.add((d, wide, pc))
+                    arcs.append((q, d, wide, pc))
+    return trim(Fsa.from_raw(al, a.n, a.start, frozenset(new_finals), tuple(arcs)))
 
 
 def surface_strings(
@@ -980,5 +950,4 @@ def _projected_strings(p: Fsa, max_len: int | None, cap: int = DEFAULT_ENUM_CAP)
                 "surface language is infinite; pass max_len to bound enumeration"
             )
         max_len = p.n  # acyclic: a path revisits no state
-    al = p.alphabet
-    return _walk(p, max_len, cap, lambda bits, pc: {s.char for s in al.members(bits)}, "")
+    return _walk(p, max_len, cap, lambda bits, pc: p.alphabet.tokens_of(bits), "")

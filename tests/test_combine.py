@@ -1,8 +1,9 @@
 """`combine` checked against the two constructions it replaced.
 
 ``ref_combine`` below is the first `combine`: it joins the parts with
-epsilon edges, removes them with ``fsa._remove_epsilons`` (a closure and a
-dedupe set per state) and trims. The splicing `combine` lays the parts out
+epsilon edges, removes them with ``_remove_epsilons`` (a closure and a
+dedupe set per state, kept as a reference in ``test_project_surface``) and
+trims. The splicing `combine` lays the parts out
 in the same order with the same fresh start state, so after `trim` both
 number their states alike. On random parts, with empty-language parts,
 nullable parts and starts that have in-arcs, the two must agree on states,
@@ -28,7 +29,6 @@ from redup.enrich import add_repeats, add_self_loops, add_skips
 from redup.errors import AutomatonError
 from redup.fsa import (
     Fsa,
-    _remove_epsilons,
     build_from_string,
     canonical,
     combine,
@@ -37,6 +37,7 @@ from redup.fsa import (
     symbol_fsa,
     trim,
 )
+from test_project_surface import _remove_epsilons
 from test_representation import random_fsa, unmarked
 
 KINDS = ("concat", "union", "star", "optional")

@@ -370,7 +370,7 @@ def test_project_surface_erases_technicals(ab):
     m = Fsa(ab, 3, 0, frozenset({2}),
             (Arc(0, narrow_a, 1), Arc(1, rep, 2), Arc(1, Label(ab.char("b"), True), 2)))
     p = project_surface(m)
-    # the a-arc widens back to all 12 variants; the repeat arc became epsilon
+    # the a-arc widens back to all 12 variants; the repeat arc is erased
     assert surface_strings(m) == {"a", "ab"}
     assert all(arc.label.bits & ab.tech == 0 for arc in p.arcs)
     assert lang(p, 2) >= {(A0,), (A0, B0)}
