@@ -27,6 +27,9 @@ body that use no parameter, and the evaluator keeps their values for the
 rest of the call.  A stem macro's constraint is thus built once, not once
 per stem.  Only values that evaluated successfully are kept, so an error
 raises again wherever it is reached.
+
+The evaluator counts how deep its calls nest, `closed_interpretation`'s `&`
+chains included, and fails beyond `MAX_DEPTH` with the call path.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from .fsa import (
 )
 from .interpret import ProductStats, close, closing_order, intersect_open
 
-# how many definitions one expansion may nest, so that a chain of them
-# raises instead of exhausting Python's stack
-MAX_CALL_DEPTH = 100
+# how deep one evaluation may nest; at most 4 Python frames per level, so a
+# deep grammar raises instead of exhausting Python's stack
+MAX_DEPTH = 150
 
 _ENRICH_FN = {
     "add_self_loops": add_self_loops,
@@ -153,17 +156,17 @@ def _hoisted_subtrees(body) -> list:
     Each one sits directly under a node that does use one, so its value is
     the same on every call of the macro.
     """
+    order, stack = [], [body]
+    while stack:  # pre-order, last child first: reversed, it is post-order
+        order.append(stack.pop())
+        stack.extend(dsl._children(order[-1]))
+    uses: set[int] = set()  # ids of the nodes that use a parameter
     found = []
-
-    def uses_var(node) -> bool:
+    for node in reversed(order):
         kids = list(dsl._children(node))
-        flags = [uses_var(k) for k in kids]
-        if isinstance(node, dsl.Var) or any(flags):
-            found.extend(k for k, f in zip(kids, flags) if not f)
-            return True
-        return False
-
-    uses_var(body)
+        if isinstance(node, dsl.Var) or any(id(k) in uses for k in kids):
+            uses.add(id(node))
+            found.extend(k for k in kids if id(k) not in uses)
     return found
 
 
@@ -221,6 +224,7 @@ class _Evaluator:
         self.stats = stats
         self.budget = budget
         self.stack: list[str] = []
+        self.depth = 0  # eval and _and_operands levels open
         self.hoisted = cg.hoisted
         self.memo: dict[int, object] = {}
 
@@ -252,6 +256,12 @@ class _Evaluator:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _too_deep(self) -> CompileError:
+        """One level beyond `MAX_DEPTH`; compile() drops the evaluator, so no
+        error restores `depth` or `stack`."""
+        path = " -> ".join(self.stack) or "the entry"
+        return CompileError(f"expression nested more than {MAX_DEPTH} deep: {path}")
+
     def eval(self, node, env):
         key = id(node)
         if key in self.memo:
@@ -259,7 +269,11 @@ class _Evaluator:
         method = _EVAL.get(type(node))
         if method is None:
             raise CompileError(f"cannot compile {type(node).__name__}")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self._too_deep()
         value = method(self, node, env)
+        self.depth -= 1
         if key in self.hoisted:
             self.memo[key] = value
         return value
@@ -390,8 +404,12 @@ class _Evaluator:
         """
         if not isinstance(node, dsl.And) or id(node) in self.hoisted:
             return [self.eval(node, env)]
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self._too_deep()
         left = self._and_operands(node.left, env)
         right = self._and_operands(node.right, env)
+        self.depth -= 1
         if len(left) == len(right) == 1:
             if isinstance(left[0], int) and isinstance(right[0], int):
                 return [left[0] & right[0]]
@@ -403,17 +421,13 @@ class _Evaluator:
             raise CompileError(
                 f"{name} takes {len(macro.params)} argument(s), got {len(args)}"
             )
-        if name in self.stack or len(self.stack) == MAX_CALL_DEPTH:
-            chain = " -> ".join(self.stack + [name])
-            if name in self.stack:
-                raise CompileError(f"recursive definition: {chain}")
-            raise CompileError(f"definitions nested more than {MAX_CALL_DEPTH} deep: {chain}")
+        if name in self.stack:
+            raise CompileError("recursive definition: " + " -> ".join(self.stack + [name]))
         bound = {p: self.eval(a, env) for p, a in zip(macro.params, args)}
         self.stack.append(name)
-        try:
-            return self.eval(macro.body, bound)
-        finally:
-            self.stack.pop()
+        value = self.eval(macro.body, bound)
+        self.stack.pop()
+        return value
 
 
 # node class -> the `_Evaluator` method that evaluates it, looked up once

@@ -15,10 +15,10 @@ style).  Expressions combine symbol sets and automata:
 `%` starts a comment.  Parsing is purely syntactic here; name resolution and
 set-versus-machine typing happen in the compiler.
 
-An expression nests at most `MAX_NESTING` levels deep, so neither the
-parser nor the compiler recurses without bound: each bracket, brace,
-parenthesis, call argument list, `~` and postfix `*`/`^` is one level, and
-a postfix operand's nodes count in full (`&` included).
+The parser fails beyond `MAX_NESTING` open brackets, braces, parentheses,
+call argument lists, `~` and rule arrow `(...)`, one recursion each.  It
+reads `&` chains and postfix `*`/`^` runs in loops; how deep their trees
+nest is bounded where they are evaluated (`compiler.MAX_DEPTH`).
 """
 
 from __future__ import annotations
@@ -184,14 +184,6 @@ def _children(node):
             yield from value
 
 
-def _height(node) -> int:
-    """The number of nodes on the longest path down from `node`'s root."""
-    height, level = 0, [node]
-    while level := [k for n in level for k in _children(n)]:
-        height += 1
-    return height
-
-
 class _Parser:
     """Recursive descent over the token list.
 
@@ -199,7 +191,7 @@ class _Parser:
     one list index and no token attribute lookup, and `expr` returns a leaf
     followed by a token that cannot extend it without descending through
     the precedence levels. `depth` counts the constructs open around the
-    current token, and a postfix run counts its operand's height on top.
+    current token, one per recursive descent.
     """
 
     def __init__(self, toks: list[Token]):
@@ -245,10 +237,12 @@ class _Parser:
         if self.at("-->"):
             self.next()
             self.expect("(")
+            self.enter()
             outcome = self.expr()
             self.expect("/")
             context = self.expr()
             self.expect(")")
+            self.depth -= 1
             return Rule(left, outcome, context)
         return left
 
@@ -270,17 +264,9 @@ class _Parser:
 
     def postfix(self):
         node = self.primary()
-        p = self.punct[self.pos]
-        if p != "*" and p != "^":
-            return node
-        outer = self.depth
-        self.depth += _height(node)
-        while p == "*" or p == "^":
+        while (p := self.punct[self.pos]) == "*" or p == "^":
             self.pos += 1
-            self.enter()
             node = Star(node) if p == "*" else Opt(node)
-            p = self.punct[self.pos]
-        self.depth = outer
         return node
 
     def seq(self, closer: str) -> tuple:

@@ -10,6 +10,8 @@ expressions, and today only the test oracle ``_eval_expr`` in
 
 from __future__ import annotations
 
+import re
+
 from .alphabet import Alphabet
 from .fsa import Fsa
 
@@ -32,9 +34,19 @@ def dump_text(a: Fsa) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DOT_KEYWORDS = frozenset({"graph", "node", "edge", "digraph", "subgraph", "strict"})
+
+
+def _dot_id(name: str) -> str:
+    """`name` as it is if it is a plain DOT ID, else as a quoted DOT string."""
+    if re.fullmatch(r"[A-Za-z_]\w*", name, re.ASCII) and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dump_dot(a: Fsa, name: str = "fsa") -> str:
     """Graphviz digraph; producer arcs drawn bold, final states doubled."""
-    out = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
+    out = [f"digraph {_dot_id(name)} {{", "  rankdir=LR;", '  node [shape=circle];']
     out.append(f'  __start [shape=point, label=""];')
     out.append(f"  __start -> {a.start};")
     for q in range(a.n):

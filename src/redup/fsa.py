@@ -26,15 +26,16 @@ builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``.
 
 A machine built by search from its start state is reachable by
-construction: the product's output, the subset constructions of
-``determinize`` and ``minimize``, and ``lazy.materialize``. These are pruned
-with ``prune``, the backward half of ``trim``, which builds no adjacency.
-Machines built by filtering arcs (``close`` of one machine,
-``project_surface``) can have dead states and use ``trim``. ``trim`` and
-``prune`` mark what they return as trim, and return a marked machine at
-once; ``is_empty`` answers it without a walk. The builders whose output is
-trim by construction mark it: ``empty_string_fsa``, ``symbol_fsa``,
-``build_from_string``, ``combine`` (which trims no result, see there), the
+construction: the open product of ``interpret.intersect_open`` and
+``lazy.materialize``. These are pruned with ``prune``, the backward half of
+``trim``, which builds no adjacency. Machines built by filtering arcs
+(``close`` of one machine, ``project_surface``) can have dead states and use
+``trim``. ``trim`` and ``prune`` mark what they return as trim, and return a
+marked machine at once; ``is_empty`` answers it without a walk. The
+builders whose output is trim by construction mark it: ``empty_string_fsa``,
+``symbol_fsa``, ``build_from_string``, ``combine`` (which trims no result,
+see there), the subset constructions of ``determinize`` and ``minimize``
+(run on trim machines, every subset is reached and reaches a final), the
 closed product of ``interpret.close`` and the compiler's symbol and rule
 machines. Enriching or retyping arcs keeps every state live, and so keeps
 the operand's mark. The canonical empty machine is never marked, and they
@@ -541,9 +542,9 @@ def trim(a: Fsa) -> Fsa:
 def prune(a: Fsa) -> Fsa:
     """`trim` for a machine whose every state is reachable from its start.
 
-    A machine built by search from its start state (a product, a subset
-    construction, a lazy materialization) is reachable by construction, so
-    only the backward pass runs, and no adjacency is built or cached.
+    A machine built by search from its start state (an open product, a lazy
+    materialization) is reachable by construction, so only the backward
+    pass runs, and no adjacency is built or cached.
     """
     if a._trim:
         return a
@@ -683,7 +684,7 @@ def determinize(a: Fsa) -> Fsa:
     n, start, finals, arcs = _subset_construct(
         a.out_raw(), frozenset({a.start}), a.finals, _atoms(a)
     )
-    return prune(Fsa.from_raw(a.alphabet, n, start, finals, arcs))
+    return _marked(Fsa.from_raw(a.alphabet, n, start, finals, arcs))
 
 
 def minimize(a: Fsa) -> Fsa:
@@ -701,7 +702,7 @@ def minimize(a: Fsa) -> Fsa:
 
     n1, s1, f1, arcs1 = reverse_det(a.n, frozenset(a.finals), a.raw_arcs, frozenset({a.start}))
     n2, s2, f2, arcs2 = reverse_det(n1, f1, arcs1, frozenset({s1}))
-    return prune(Fsa.from_raw(a.alphabet, n2, s2, f2, arcs2))
+    return _marked(Fsa.from_raw(a.alphabet, n2, s2, f2, arcs2))
 
 
 def normalize(a: Fsa, mode: str = "minimize") -> Fsa:

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from redup.cli import main
+from redup.dump import dump_dot
+from redup.fsa import build_from_string
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -313,6 +315,33 @@ def test_dump_dot_is_deterministic_graphviz(capsys):
     assert code == 0
     assert out.startswith("digraph continuative_cqEt {")
     assert out.rstrip().endswith("}")
+
+
+def test_dump_dot_quotes_a_name_that_is_no_plain_dot_id(capsys, tmp_path):
+    code, out, _ = run(capsys, "dump-dot", "bambara", "synced_constituent & copy_morpheme")
+    assert code == 0
+    assert out.startswith('digraph "synced_constituent & copy_morpheme" {\n')
+    grammar = tmp_path / "keyword.g"
+    grammar.write_text('segment a vowel.\nnode := "a".\n_2 := "a".\n', "utf-8")
+    code, out, _ = run(capsys, "dump-dot", str(grammar), "node")
+    assert code == 0
+    assert out.startswith('digraph "node" {\n')
+    code, out, _ = run(capsys, "dump-dot", str(grammar), "_2")
+    assert code == 0
+    assert out.startswith("digraph _2 {\n")
+
+
+@pytest.mark.parametrize("name,written", [
+    ("plain_Name2", "plain_Name2"),
+    ("Digraph", '"Digraph"'),
+    ("STRICT", '"STRICT"'),
+    ("2nd", '"2nd"'),
+    ("caf\u00e9", '"caf\u00e9"'),
+    ('say "a" \\ b', '"say \\"a\\" \\\\ b"'),
+])
+def test_dump_dot_writes_the_name_as_a_dot_id(ab, name, written):
+    first = dump_dot(build_from_string(ab, "a"), name).split("\n", 1)[0]
+    assert first == f"digraph {written} {{"
 
 
 def test_module_entry_point_runs_as_a_process():
