@@ -34,7 +34,7 @@ from __future__ import annotations
 from itertools import product as _pairs
 from typing import Sequence
 
-from .fsa import Fsa
+from .fsa import Fsa, RawArc
 
 BACKEND = "py"
 
@@ -172,28 +172,30 @@ def coreachable(a: Fsa, b: Fsa) -> set[int]:
     one arc is a producer.  So a pair is in the result iff some path of the
     closed product leads from it to a final pair, whether or not the start
     pair reaches it; ``product(a, b, live)`` then enters only these.  The
-    in-adjacency is built here from the raw arcs and not kept; the second
-    machine's is also kept split by producer arcs, which are all a consumer
-    arc of the first can pair with.
+    in-adjacency is built here and not kept: its lists hold the operands'
+    own raw arc tuples, so it copies no arc.  The second machine's is also
+    kept split by producer arcs, which are all a consumer arc of the first
+    can pair with.
     """
     n_b = b.n
-    in_a: list[list[tuple[int, int, bool]]] = [[] for _ in range(a.n)]
-    for s, d, bits, pc in a.raw_arcs:
-        in_a[d].append((s * n_b, bits, pc))
-    in_b: list[list[tuple[int, int]]] = [[] for _ in range(n_b)]
-    producers_in_b: list[list[tuple[int, int]]] = [[] for _ in range(n_b)]
-    for s, d, bits, pc in b.raw_arcs:
-        in_b[d].append((s, bits))
-        if pc:
-            producers_in_b[d].append((s, bits))
+    in_a: list[list[RawArc]] = [[] for _ in range(a.n)]
+    for arc in a.raw_arcs:
+        in_a[arc[1]].append(arc)
+    in_b: list[list[RawArc]] = [[] for _ in range(n_b)]
+    producers_in_b: list[list[RawArc]] = [[] for _ in range(n_b)]
+    for arc in b.raw_arcs:
+        in_b[arc[1]].append(arc)
+        if arc[3]:
+            producers_in_b[arc[1]].append(arc)
     todo = [fa * n_b + fb for fa in a.finals for fb in b.finals]
     live = set(todo)
     while todo:
         qa, qb = divmod(todo.pop(), n_b)
         any_b = in_b[qb]
         producer_b = producers_in_b[qb]
-        for base, ba, pa in in_a[qa]:
-            for sb, bb in any_b if pa else producer_b:
+        for sa, _da, ba, pa in in_a[qa]:
+            base = sa * n_b
+            for sb, _db, bb, _pb in any_b if pa else producer_b:
                 if ba & bb:
                     key = base + sb
                     if key not in live:

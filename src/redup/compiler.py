@@ -28,6 +28,13 @@ rest of the call.  A stem macro's constraint is thus built once, not once
 per stem.  Only values that evaluated successfully are kept, so an error
 raises again wherever it is reached.
 
+`[]`, the empty-string machine, is the unit of concatenation: built once
+per `compile()`, it drops out of every concatenation, and a concatenation
+left with one trim part is that part, not the copy `combine` would number
+anew.  The two are isomorphic with the same arcs out of each state, in
+order, and a product numbers pairs in the order it finds them, so every
+product built on either is the same machine.
+
 The evaluator counts how deep its calls nest, `closed_interpretation`'s `&`
 chains included, and fails beyond `MAX_DEPTH` with the call path.
 """
@@ -227,6 +234,7 @@ class _Evaluator:
         self.depth = 0  # eval and _and_operands levels open
         self.hoisted = cg.hoisted
         self.memo: dict[int, object] = {}
+        self.empty = empty_string_fsa(self.al)  # every `[]` of the compile
 
     # -- typing helpers ----------------------------------------------------
 
@@ -279,7 +287,7 @@ class _Evaluator:
         return value
 
     def _eval_empty(self, node, env):
-        return empty_string_fsa(self.al)
+        return self.empty
 
     def _eval_str(self, node, env):
         return build_from_string(self.al, node.text)
@@ -315,8 +323,13 @@ class _Evaluator:
         raise CompileError(f"unknown name {name!r}")
 
     def _eval_concat(self, node, env):
-        parts = [self.machine(self.eval(x, env)) for x in node.items]
-        return combine("concat", parts)
+        """`[]`, the empty-string machine, is the unit: a part that is one
+        drops out, and a trim part left alone is the concatenation itself."""
+        parts = [m for m in (self.machine(self.eval(x, env)) for x in node.items)
+                 if m.n != 1 or m.raw_arcs or not m.finals]
+        if len(parts) == 1 and parts[0]._trim:
+            return parts[0]
+        return combine("concat", parts, self.al)
 
     def _eval_union(self, node, env):
         if not node.items:

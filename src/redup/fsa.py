@@ -23,7 +23,8 @@ caches, nor the trim mark below, takes part in equality, hashing, pickling
 or copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
-with the unchecked ``Fsa.from_raw``.
+with the unchecked ``Fsa.from_raw``, which sets each slot by a setter bound
+once at import.
 
 A machine built by search from its start state is reachable by
 construction: the open product of ``interpret.intersect_open`` and
@@ -59,6 +60,7 @@ without walking again.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -70,9 +72,6 @@ DEFAULT_ENUM_CAP = 200_000
 UNBOUNDED = 1 << 62
 
 RawArc = tuple[int, int, int, bool]  # (src, dst, bits, pc)
-
-_set = object.__setattr__
-
 
 class Label(NamedTuple):
     bits: int
@@ -168,7 +167,7 @@ class Fsa(Frozen):
         arcs = self._arcs
         if arcs is None:
             arcs = tuple(Arc(s, Label(b, pc), d) for s, d, b, pc in self.raw_arcs)
-            _set(self, "_arcs", arcs)
+            _set_arcs(self, arcs)
         return arcs
 
     def out_raw(self) -> list[list[RawArc]]:
@@ -182,7 +181,7 @@ class Fsa(Frozen):
             out = [[] for _ in range(self.n)]
             for arc in self.raw_arcs:
                 out[arc[0]].append(arc)
-            _set(self, "_out", out)
+            _set_out(self, out)
         return out
 
     def label_index(self) -> dict:
@@ -198,7 +197,7 @@ class Fsa(Frozen):
         index = self._index
         if index is None:
             index = {}
-            _set(self, "_index", index)
+            _set_index(self, index)
         return index
 
     def out_bits(self) -> list[int]:
@@ -212,7 +211,7 @@ class Fsa(Frozen):
             bits = [0] * self.n
             for s, _d, b, _pc in self.raw_arcs:
                 bits[s] |= b
-            _set(self, "_bits", bits)
+            _set_bits(self, bits)
         return bits
 
     def rest_bounds(self) -> tuple[list[int], list[int]]:
@@ -231,7 +230,7 @@ class Fsa(Frozen):
         rest = self._rest
         if rest is None:
             rest = _rest_bounds(self)
-            _set(self, "_rest", rest)
+            _set_rest(self, rest)
         return rest
 
     def __eq__(self, other):
@@ -252,7 +251,7 @@ class Fsa(Frozen):
         h = self._hash
         if h is None:
             h = hash((self.n, self.start, self.finals, self.raw_arcs))
-            _set(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __reduce__(self):
@@ -283,25 +282,31 @@ class Fsa(Frozen):
         return q in self.finals
 
 
+# each slot's setter, bound once: a write skips `object.__setattr__`'s lookup
+(_set_alphabet, _set_n, _set_start, _set_finals, _set_raw_arcs, _set_arcs, _set_out,
+ _set_index, _set_bits, _set_rest, _set_trim, _set_hash) = (
+    getattr(Fsa, slot).__set__ for slot in Fsa.__slots__)
+
+
 def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
-    _set(m, "alphabet", alphabet)
-    _set(m, "n", n)
-    _set(m, "start", start)
-    _set(m, "finals", finals)
-    _set(m, "raw_arcs", raw_arcs)
-    _set(m, "_arcs", arcs)
-    _set(m, "_out", None)
-    _set(m, "_index", None)
-    _set(m, "_bits", None)
-    _set(m, "_rest", None)
-    _set(m, "_trim", False)
-    _set(m, "_hash", None)
+    _set_alphabet(m, alphabet)
+    _set_n(m, n)
+    _set_start(m, start)
+    _set_finals(m, finals)
+    _set_raw_arcs(m, raw_arcs)
+    _set_arcs(m, arcs)
+    _set_out(m, None)
+    _set_index(m, None)
+    _set_bits(m, None)
+    _set_rest(m, None)
+    _set_trim(m, False)
+    _set_hash(m, None)
 
 
 def _marked(m: Fsa, mark: bool = True) -> Fsa:
     """`m`, its trim mark set to `mark`: for a builder whose result is trim
     by construction, or as trim as the operand it was built from."""
-    _set(m, "_trim", mark)
+    _set_trim(m, mark)
     return m
 
 
@@ -416,13 +421,13 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
     (chaining on through every following part whose start is final), and the
     finals of a starred part.
 
-    The result is built trim, and marked so. An unmarked part is trimmed
-    first (a state dead in its part is dead in the layout); then a union
-    drops the parts that have no finals, and a concatenation with such a
-    part is `never_fsa`. With every part trim, the only dead states of the
-    layout are part starts that no arc of their own enters (a self-loop
-    counts), since their out-arcs are copied: they are left out with those
-    arcs, and the rest numbered in layout order, as `trim` numbers them.
+    The result is built trim, and marked so; no part is trimmed. An unmarked
+    part is laid out through its own live-state mask, its finals in their
+    own order. A union drops the parts that accept nothing, and a concat
+    with such a part is `never_fsa`. The layout's other dead states are part
+    starts that no live arc of their own enters (a self-loop counts), since
+    their out-arcs are copied: they are left out with those arcs, and the
+    rest numbered in layout order, as `trim` of the whole layout numbers them.
 
     Arcs are copied as they are, producer/consumer bits included, and
     duplicates are not merged: a part's own duplicate arcs survive, as does
@@ -444,34 +449,42 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
         return never_fsa(alphabet)
     if kind not in ("concat", "union", "star", "optional"):
         raise AutomatonError(f"unknown combine kind {kind!r}")
-    parts = [p if p._trim else trim(p) for p in parts]
-    if kind == "union":
-        parts = [p for p in parts if p.finals]
-        if not parts:
+    # an unmarked part is laid out through its live-state mask (None: marked)
+    masks = [None if p._trim else _live(p, True) for p in parts]
+    if kind in ("union", "concat"):
+        accepting = [(p, keep) for p, keep in zip(parts, masks)
+                     if (p.finals if keep is None else keep[p.start])]
+        if not accepting or kind == "concat" and len(accepting) < len(parts):
             return never_fsa(alphabet)
-    elif kind == "concat" and not all(p.finals for p in parts):
-        return never_fsa(alphabet)
+        parts, masks = zip(*accepting)
 
-    # a part's start is live iff an arc of its own enters it
-    entered = [any(d == p.start for _s, d, _b, _pc in p.raw_arcs) for p in parts]
     # one int object per state id, shared by every arc that names it
-    ids = list(range(sum(p.n for p in parts) - entered.count(False) + 1))
-    root = ids[-1]  # the fresh start state
+    ids = list(range(sum(p.n for p in parts) + 1))
     arcs: list[RawArc] = []
     heads: list[list[tuple[int, int, bool]]] = []  # per part: its start's out-arcs
     part_finals: list[list[int]] = []
     offset = 0
-    for p, live in zip(parts, entered):
+    for p, keep in zip(parts, masks):
         raw, start = p.raw_arcs, p.start
-        if live:
-            loc = ids[offset:offset + p.n]
+        # a part's start is laid out iff a live arc of its own enters it
+        if keep is None:
+            live = any(d == start for _s, d, _b, _pc in raw)
+            loc = ids[offset:offset + p.n] if live else (
+                ids[offset:offset + start] + [-1] + ids[offset + start:offset + p.n - 1])
+        else:  # its live states, in order
+            keep[start] = live = any(d == start and keep[s] for s, d, _b, _pc in raw)
+            loc = [-1] * p.n
+            for i, q in enumerate(compress(range(p.n), keep), offset):
+                loc[q] = ids[i]
+        if live and keep is None:
             arcs.extend(raw if not offset else [(loc[s], loc[d], b, pc) for s, d, b, pc in raw])
-        else:  # dead: drop it and its out-arcs, which `heads` copies
-            loc = ids[offset:offset + start] + [-1] + ids[offset + start:offset + p.n - 1]
-            arcs.extend([(loc[s], loc[d], b, pc) for s, d, b, pc in raw if s != start])
-        heads.append([(loc[d], b, pc) for s, d, b, pc in raw if s == start])
-        part_finals.append([loc[q] for q in p.finals if live or q != start])
-        offset += p.n - (not live)
+        else:  # drop the dead states and their arcs; `heads` copies a dead start's
+            arcs.extend([(rs, rd, b, pc) for s, d, b, pc in raw
+                         if (rs := loc[s]) >= 0 and (rd := loc[d]) >= 0])
+        heads.append([(loc[d], b, pc) for s, d, b, pc in raw if s == start and loc[d] >= 0])
+        part_finals.append([loc[q] for q in p.finals if loc[q] >= 0])
+        offset += p.n - (not live) if keep is None else keep.count(1)
+    root = ids[offset]  # the fresh start state
 
     def splice(q: int, head: list[tuple[int, int, bool]]) -> None:
         arcs.extend([(q, d, b, pc) for d, b, pc in head])
@@ -509,7 +522,7 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
                 if f != start:
                     splice(f, head)
 
-    return _marked(Fsa.from_raw(alphabet, len(ids), root, frozenset(finals), tuple(arcs)))
+    return _marked(Fsa.from_raw(alphabet, root + 1, root, frozenset(finals), tuple(arcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +540,7 @@ def trim(a: Fsa) -> Fsa:
         return a
     if not a.finals:
         return _empty(a)
-    out = a.out_raw()
-    fwd = bytearray(a.n)
-    fwd[a.start] = 1
-    stack = [a.start]
-    while stack:
-        for _s, d, _b, _pc in out[stack.pop()]:
-            if not fwd[d]:
-                fwd[d] = 1
-                stack.append(d)
-    return _keep_coreachable(a, fwd)
+    return _keep(a, _live(a, True))
 
 
 def prune(a: Fsa) -> Fsa:
@@ -550,7 +554,7 @@ def prune(a: Fsa) -> Fsa:
         return a
     if not a.finals:
         return _empty(a)
-    return _keep_coreachable(a, None)
+    return _keep(a, _live(a, False))
 
 
 def _empty(a: Fsa) -> Fsa:
@@ -559,26 +563,30 @@ def _empty(a: Fsa) -> Fsa:
     return a if a.n == 1 and not a.raw_arcs else never_fsa(a.alphabet)
 
 
-def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
-    """Keep the states that reach a final, among those marked in `fwd`.
-
-    `fwd` marks the states reachable from the start; None means all are.
-    The machine returned, unless it is the canonical empty one, is marked
-    trim.
-    """
-    n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
-    # Walking back over arcs out of reachable states only, every state found
-    # is both reachable and co-reachable.
+def _live(a: Fsa, search: bool) -> bytearray:
+    """Marks the states on some path from the start to a final: reachable
+    ones, found by a walk forward with `search` (without it, all are), then
+    those a walk back over arcs out of reachable states finds."""
+    n, start, raw = a.n, a.start, a.raw_arcs
     inc: list[list[int]] = [[] for _ in range(n)]
-    if fwd is None:
-        for s, d, _b, _pc in raw:
-            inc[d].append(s)
-        stack = list(finals)
-    else:
+    if search:
+        out = a.out_raw()
+        fwd = bytearray(n)
+        fwd[start] = 1
+        stack = [start]
+        while stack:
+            for _s, d, _b, _pc in out[stack.pop()]:
+                if not fwd[d]:
+                    fwd[d] = 1
+                    stack.append(d)
         for s, d, _b, _pc in raw:
             if fwd[s]:
                 inc[d].append(s)
-        stack = [q for q in finals if fwd[q]]
+        stack = [q for q in a.finals if fwd[q]]
+    else:
+        for s, d, _b, _pc in raw:
+            inc[d].append(s)
+        stack = list(a.finals)
     keep = bytearray(n)
     for q in stack:
         keep[q] = 1
@@ -587,17 +595,21 @@ def _keep_coreachable(a: Fsa, fwd: bytearray | None) -> Fsa:
             if not keep[s]:
                 keep[s] = 1
                 stack.append(s)
+    return keep
+
+
+def _keep(a: Fsa, keep: bytearray) -> Fsa:
+    """`a` cut down to the states `_live` marked, numbered in order, and
+    marked trim; the canonical empty machine if its start is not among them."""
+    n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
     if not keep[start]:
         return never_fsa(a.alphabet)
     kept = keep.count(1)
     if kept == n:
         return _marked(a)
     remap = [-1] * n
-    i = 0
-    for q in range(n):
-        if keep[q]:
-            remap[q] = i
-            i += 1
+    for i, q in enumerate(compress(range(n), keep)):
+        remap[q] = i
     arcs = tuple([
         (rs, rd, b, pc)
         for s, d, b, pc in raw
@@ -718,26 +730,23 @@ def normalize(a: Fsa, mode: str = "minimize") -> Fsa:
 def canonical(a: Fsa) -> Fsa:
     """Minimized automaton renumbered into BFS order with sorted arcs.
 
-    Equal canonical forms mean isomorphic minimal machines, which for
-    deterministic machines means equal languages.
+    `minimize` emits each state's arcs sorted by label, no two alike, so
+    one breadth-first walk numbers the states and emits the arcs sorted by
+    source, sorting nothing. Equal canonical forms mean isomorphic minimal
+    machines, which for deterministic machines means equal languages.
     """
     m = minimize(a)
-    order: dict[int, int] = {m.start: 0}
     out = m.out_raw()
-    queue = deque([m.start])
-    while queue:
-        q = queue.popleft()
-        for _s, d, _b, _pc in sorted(out[q], key=lambda x: (x[2], x[3], x[1])):
+    order: dict[int, int] = {m.start: 0}
+    queue = [m.start]  # grows as the walk numbers states
+    arcs: list[RawArc] = []
+    for src, q in enumerate(queue):
+        for _s, d, b, pc in out[q]:
             if d not in order:
                 order[d] = len(order)
                 queue.append(d)
-    arcs = tuple(
-        sorted(
-            ((order[s], order[d], b, pc) for s, d, b, pc in m.raw_arcs),
-            key=lambda x: (x[0], x[2], x[3], x[1]),
-        )
-    )
-    return Fsa.from_raw(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals), arcs)
+            arcs.append((src, order[d], b, pc))
+    return Fsa.from_raw(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals), tuple(arcs))
 
 
 def language_equal(a: Fsa, b: Fsa) -> bool:

@@ -18,7 +18,7 @@ from typing import Sequence
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Fsa, _marked, _set, never_fsa, prune, trim
+from .fsa import Fsa, _marked, _set_bits, _set_rest, never_fsa, prune, trim
 
 
 _is_producer = itemgetter(3)  # of a raw (src, dst, bits, pc) arc
@@ -178,7 +178,7 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     arcs = [(i, i + 1, char[tok], False) for i, tok in enumerate(tokens)]
     arcs += [(q, q, tech, False) for q in range(len(tokens) + 1)]
     m = Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
-    _set(m, "_bits", [char[tok] | tech for tok in tokens] + [tech])
+    _set_bits(m, [char[tok] | tech for tok in tokens] + [tech])
     left = list(range(len(tokens), -1, -1))
-    _set(m, "_rest", (left, left))
+    _set_rest(m, (left, left))
     return m

@@ -43,7 +43,7 @@ from redup.fsa import (
     prune,
     symbol_fsa,
     trim,
-    _set,
+    _set_rest,
 )
 from redup.interpret import ProductStats, close, intersect_open
 
@@ -183,7 +183,7 @@ def without_length_bounds(m):
     """A copy of `m` whose bounds pass every pair, so that an open product
     with it puts a successor to the dead-end test alone, indexed or not."""
     m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
-    _set(m, "_rest", ([0] * m.n, [UNBOUNDED] * m.n))
+    _set_rest(m, ([0] * m.n, [UNBOUNDED] * m.n))
     return m
 
 
