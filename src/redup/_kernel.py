@@ -10,10 +10,11 @@ tell: the labels leaving its two states overlap or both are final
 (``Fsa.out_bits``), and, for a successor of a high-fan-out pair, the two
 states can end on the same number of segment symbols
 (``Fsa.rest_bounds``). A parse's product against a lexicon so enters about
-a quarter of its reachable pairs, and ``prune`` cleans up the rest. A closed
-product joins no two consumer arcs and enters only the pairs of ``live``,
-the set ``coreachable`` finds by walking back from the pairs of finals, so
-it comes out trim.
+a quarter of its reachable pairs, and ``fsa.pruned_from_raw`` cuts the
+dead ones left from the raw lists returned, so no machine is built before
+the cut. A closed product joins no two consumer arcs and enters only the
+pairs of ``live``, the set ``coreachable`` finds by walking back from the
+pairs of finals, so it comes out trim.
 
 In an open product, a state with at least ``FANOUT`` out-arcs is paired
 through a label index (``Fsa.label_index``): its arcs grouped by label
@@ -70,13 +71,14 @@ def product(
     test, ``lo_a[da] <= hi_b[db]`` and ``lo_b[db] <= hi_a[da]``: a string
     leading from both states to finals has one count of segment symbols, in
     both intervals. A pair that fails either test reaches no pair of
-    finals, so ``prune`` of the result is the same machine, arc order
-    included, as ``prune`` of the product without the tests. The bounds
+    finals, so the result trimmed (``fsa.pruned_from_raw``, which reads
+    these lists as they are) is the same machine, arc order included, as
+    the product without the tests trimmed. The bounds
     are computed at the first indexed pair, so a product that meets no
     high-fan-out state, such as every open product of a compile, computes
     none.
     An indexed pair tests sub-buckets rather than successors, so it also
-    drops the arcs into an entered pair that fails a test, which ``prune``
+    drops the arcs into an entered pair that fails a test, which the trim
     deletes anyway. The successors of plain pairs skip the length test: in
     a parse that would save almost nothing (over 6,000 seeded parses against
     a 1,600-stem lexicon, testing them too enters 127,199 pairs instead of
@@ -90,7 +92,7 @@ def product(
     and expanded, and their arcs emitted, in the order the unrestricted
     product gives them.
 
-    A pruned open result does not depend on the label index: at an
+    A trimmed open result does not depend on the label index: at an
     indexed pair the matching arcs are emitted in the order of the plain
     double loop.
     """

@@ -378,7 +378,10 @@ class _Evaluator:
                 return _symbol(self.al, v, pc)
             return _retyped(self.machine(v), pc)
         if name in _ENRICH_FN:
-            return _ENRICH_FN[name](self.machine(self._one(name, args, env)))
+            # a machine with no finals accepts nothing enriched or not: a
+            # rejected stem costs no enrichment
+            m = self.machine(self._one(name, args, env))
+            return _ENRICH_FN[name](m) if m.finals else m
         if name == "closed_interpretation":
             chain = self._and_operands(self._arg(name, args), env)
             operands = [self.machine(v) for v in chain]

@@ -28,19 +28,21 @@ once at import.
 
 A machine built by search from its start state is reachable by
 construction: the open product of ``interpret.intersect_open`` and
-``lazy.materialize``. These are pruned with ``prune``, the backward half of
-``trim``, which builds no adjacency. Machines built by filtering arcs
-(``close`` of one machine, ``project_surface``) can have dead states and use
-``trim``. ``trim`` and ``prune`` mark what they return as trim, and return a
-marked machine at once; ``is_empty`` answers it without a walk. The
-builders whose output is trim by construction mark it: ``empty_string_fsa``,
-``symbol_fsa``, ``build_from_string``, ``combine`` (which trims no result,
-see there), the subset constructions of ``determinize`` and ``minimize``
-(run on trim machines, every subset is reached and reaches a final), the
-closed product of ``interpret.close`` and the compiler's symbol and rule
-machines. Enriching or retyping arcs keeps every state live, and so keeps
-the operand's mark. The canonical empty machine is never marked, and they
-return it as it is too.
+``lazy.materialize``. Both trim it with ``pruned_from_raw``, the backward
+half of ``trim`` run over the search's raw lists, so the trim machine is
+the only one built and no adjacency is built; ``prune`` is the same pass
+over a machine already built. Machines built by filtering arcs (``close``
+of one machine, ``project_surface``) can have dead states and use
+``trim``. The three mark what they return as trim, and ``trim`` and
+``prune`` return a marked machine at once; ``is_empty`` answers it
+without a walk. The builders whose output is trim by construction mark
+it: ``empty_string_fsa``, ``symbol_fsa``, ``build_from_string``,
+``combine`` (which trims no result, see there), the subset constructions
+of ``determinize`` and ``minimize`` (run on trim machines, every subset is
+reached and reaches a final), the closed product of ``interpret.close``
+and the compiler's symbol and rule machines. Enriching or retyping arcs
+keeps every state live, and so keeps the operand's mark. The canonical
+empty machine is never marked, and they return it as it is too.
 
 No operation builds epsilon edges. Where concatenation, union, star or
 option would enter a part's start state by one, ``combine`` gives the
@@ -60,7 +62,7 @@ without walking again.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -450,7 +452,7 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
     if kind not in ("concat", "union", "star", "optional"):
         raise AutomatonError(f"unknown combine kind {kind!r}")
     # an unmarked part is laid out through its live-state mask (None: marked)
-    masks = [None if p._trim else _live(p, True) for p in parts]
+    masks = [None if p._trim else _live(p) for p in parts]
     if kind in ("union", "concat"):
         accepting = [(p, keep) for p, keep in zip(parts, masks)
                      if (p.finals if keep is None else keep[p.start])]
@@ -540,21 +542,44 @@ def trim(a: Fsa) -> Fsa:
         return a
     if not a.finals:
         return _empty(a)
-    return _keep(a, _live(a, True))
+    return _keep(a.alphabet, a.n, a.start, a.finals, a.raw_arcs, _live(a), a)
 
 
 def prune(a: Fsa) -> Fsa:
-    """`trim` for a machine whose every state is reachable from its start.
+    """`trim` for a machine whose every state is reachable from its start:
+    `pruned_from_raw` of its parts, and `a` itself when nothing is cut.
 
-    A machine built by search from its start state (an open product, a lazy
-    materialization) is reachable by construction, so only the backward
-    pass runs, and no adjacency is built or cached.
+    Returns at once, like `trim`, a marked machine or the canonical empty
+    one.
     """
     if a._trim:
         return a
     if not a.finals:
         return _empty(a)
-    return _keep(a, _live(a, False))
+    return _keep(a.alphabet, a.n, a.start, a.finals, a.raw_arcs,
+                 _coreachable(a.n, a.finals, a.raw_arcs), a)
+
+
+def pruned_from_raw(
+    alphabet: Alphabet,
+    n: int,
+    start: int,
+    finals: Iterable[int],
+    arcs: Sequence[RawArc],
+) -> Fsa:
+    """The trim machine of a search result, built from its raw parts.
+
+    A machine built by search from its start state (an open product, a
+    lazy materialization) is reachable by construction, so only the
+    backward pass runs, over the lists themselves: no machine is built
+    before the cut, and no adjacency is built or cached. Returns the
+    marked trim `Fsa`, its states numbered in order, or the canonical
+    empty machine when no final is reached from the start; it is
+    `prune(Fsa.from_raw(...))`, which builds the uncut machine first.
+    """
+    if not finals:
+        return never_fsa(alphabet)
+    return _keep(alphabet, n, start, finals, arcs, _coreachable(n, finals, arcs))
 
 
 def _empty(a: Fsa) -> Fsa:
@@ -563,30 +588,30 @@ def _empty(a: Fsa) -> Fsa:
     return a if a.n == 1 and not a.raw_arcs else never_fsa(a.alphabet)
 
 
-def _live(a: Fsa, search: bool) -> bytearray:
-    """Marks the states on some path from the start to a final: reachable
-    ones, found by a walk forward with `search` (without it, all are), then
-    those a walk back over arcs out of reachable states finds."""
-    n, start, raw = a.n, a.start, a.raw_arcs
+def _live(a: Fsa) -> bytearray:
+    """Marks the states on some path from the start to a final: the
+    reachable ones, found by a walk forward, that a walk back over arcs out
+    of reachable states finds."""
+    n, start = a.n, a.start
+    out = a.out_raw()
+    fwd = bytearray(n)
+    fwd[start] = 1
+    stack = [start]
+    while stack:
+        for _s, d, _b, _pc in out[stack.pop()]:
+            if not fwd[d]:
+                fwd[d] = 1
+                stack.append(d)
+    return _coreachable(n, [q for q in a.finals if fwd[q]],
+                        [arc for arc in a.raw_arcs if fwd[arc[0]]])
+
+
+def _coreachable(n: int, finals: Iterable[int], arcs: Iterable[RawArc]) -> bytearray:
+    """Marks the states of 0..n-1 that reach one of `finals` over `arcs`."""
     inc: list[list[int]] = [[] for _ in range(n)]
-    if search:
-        out = a.out_raw()
-        fwd = bytearray(n)
-        fwd[start] = 1
-        stack = [start]
-        while stack:
-            for _s, d, _b, _pc in out[stack.pop()]:
-                if not fwd[d]:
-                    fwd[d] = 1
-                    stack.append(d)
-        for s, d, _b, _pc in raw:
-            if fwd[s]:
-                inc[d].append(s)
-        stack = [q for q in a.finals if fwd[q]]
-    else:
-        for s, d, _b, _pc in raw:
-            inc[d].append(s)
-        stack = list(a.finals)
+    for s, d, _b, _pc in arcs:
+        inc[d].append(s)
+    stack = list(finals)
     keep = bytearray(n)
     for q in stack:
         keep[q] = 1
@@ -598,25 +623,24 @@ def _live(a: Fsa, search: bool) -> bytearray:
     return keep
 
 
-def _keep(a: Fsa, keep: bytearray) -> Fsa:
-    """`a` cut down to the states `_live` marked, numbered in order, and
-    marked trim; the canonical empty machine if its start is not among them."""
-    n, start, finals, raw = a.n, a.start, a.finals, a.raw_arcs
+def _keep(alphabet: Alphabet, n: int, start: int, finals: Iterable[int],
+          arcs: Sequence[RawArc], keep: bytearray, whole: Fsa | None = None) -> Fsa:
+    """The machine of these parts cut down to the states marked in `keep`,
+    numbered in order, and marked trim; the canonical empty machine if its
+    start is not among them. When every state is kept, that is `whole`,
+    the machine of these parts, if given, and otherwise one built from
+    them."""
     if not keep[start]:
-        return never_fsa(a.alphabet)
+        return never_fsa(alphabet)
     kept = keep.count(1)
     if kept == n:
-        return _marked(a)
-    remap = [-1] * n
-    for i, q in enumerate(compress(range(n), keep)):
-        remap[q] = i
-    arcs = tuple([
-        (rs, rd, b, pc)
-        for s, d, b, pc in raw
-        if (rs := remap[s]) >= 0 and (rd := remap[d]) >= 0
-    ])
-    return _marked(Fsa.from_raw(a.alphabet, kept, remap[start],
-                                frozenset(remap[q] for q in finals if keep[q]), arcs))
+        if whole is None:
+            whole = Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs))
+        return _marked(whole)
+    pos = list(accumulate(keep, initial=0))  # a kept state's new number
+    cut = tuple([(pos[s], pos[d], b, pc) for s, d, b, pc in arcs if keep[s] and keep[d]])
+    return _marked(Fsa.from_raw(alphabet, kept, pos[start],
+                                frozenset([pos[q] for q in finals if keep[q]]), cut))
 
 
 def label_atoms(labels: Iterable[int]) -> list[int]:
@@ -651,8 +675,13 @@ def _subset_construct(
     accepting: frozenset[int],
     atoms: list[int],
 ) -> tuple[int, int, frozenset[int], tuple[RawArc, ...]]:
-    """Subset construction over per-state lists of raw out-arcs."""
-    atoms_of: dict[int, list[int]] = {}  # label bits -> indices of its atoms
+    """Subset construction over per-state lists of raw out-arcs.
+
+    Moves are keyed by atom: a label that is an atom keys them itself, and
+    only a label spanning several atoms is split into its atoms.
+    """
+    is_atom = set(atoms)
+    atoms_of: dict[int, list[int]] = {}  # label bits -> its atoms, if several
     states: dict[frozenset[int], int] = {initial: 0}
     todo = [initial]
     out_arcs: list[RawArc] = []
@@ -665,15 +694,18 @@ def _subset_construct(
         moves: dict[tuple[int, bool], set[int]] = {}
         for q in subset:
             for _s, dst, bits, pc in by_src[q]:
-                idx = atoms_of.get(bits)
-                if idx is None:
-                    idx = atoms_of[bits] = [i for i, atom in enumerate(atoms) if atom & bits]
-                for i in idx:
-                    moves.setdefault((i, pc), set()).add(dst)
+                if bits in is_atom:
+                    moves.setdefault((bits, pc), set()).add(dst)
+                    continue
+                split = atoms_of.get(bits)
+                if split is None:
+                    split = atoms_of[bits] = [atom for atom in atoms if atom & bits]
+                for atom in split:
+                    moves.setdefault((atom, pc), set()).add(dst)
         regroup: dict[tuple[frozenset[int], bool], int] = {}
-        for (i, pc), targets in moves.items():
+        for (atom, pc), targets in moves.items():
             key = (frozenset(targets), pc)
-            regroup[key] = regroup.get(key, 0) | atoms[i]
+            regroup[key] = regroup.get(key, 0) | atom
         for (targets, pc), bits in sorted(
             regroup.items(), key=lambda kv: (kv[1], kv[0][1])
         ):

@@ -18,7 +18,9 @@ from typing import Sequence
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import Fsa, _marked, _set_bits, _set_rest, never_fsa, prune, trim
+from .fsa import (
+    Fsa, _marked, _set_bits, _set_out, _set_rest, never_fsa, pruned_from_raw, trim,
+)
 
 
 _is_producer = itemgetter(3)  # of a raw (src, dst, bits, pc) arc
@@ -73,24 +75,22 @@ def _same_alphabet(a: Fsa, b: Fsa) -> None:
         raise AutomatonError("intersection over mismatched alphabets")
 
 
-def _product(a: Fsa, b: Fsa, live: set[int] | None = None) -> tuple[Fsa, int]:
-    n, start, finals, arcs, visited = _kernel.product(a, b, live)
-    return Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)), visited
-
-
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Pairwise product with label intersection and producer-dominant pc.
 
     The product skips dead-end pairs, and, at a high-fan-out state such as
     a lexicon's start, pairs whose remaining lengths cannot meet (see
     `_kernel.product`); `stats` counts only the pairs it enters, and the
-    result is the same trim machine.
+    result is the same trim machine.  The kernel's raw arcs are trimmed as
+    they are (`fsa.pruned_from_raw`), so the result is the only machine
+    built: the trim product, or the canonical empty machine when no pair of
+    finals is reached.
     """
     _same_alphabet(a, b)
-    m, visited = _product(a, b)
+    n, start, finals, arcs, visited = _kernel.product(a, b)
     if stats is not None:
         stats.record(visited)
-    return prune(m)
+    return pruned_from_raw(a.alphabet, n, start, finals, arcs)
 
 
 def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
@@ -102,7 +102,8 @@ def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
         stats.record(len(live))
     if a.start * b.n + b.start not in live:
         return never_fsa(a.alphabet)
-    return _marked(_product(a, b, live)[0])
+    n, start, finals, arcs, _entered = _kernel.product(a, b, live)
+    return _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 
 def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
@@ -169,16 +170,30 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     loop on each state so the grammar's technical arcs can surface anywhere.
     An unknown token raises `InventoryError`.  Every label comes from the
     alphabet itself, so the chain is built without validation, and its
-    `out_bits` and `rest_bounds` are set, not computed: state i leaves by
-    its token and by the technicals (the last state by the technicals
-    only), and from state i exactly the tokens after it are left.
+    adjacency (`out_raw`), `out_bits` and `rest_bounds` are set, not
+    computed: state i leaves by its token arc, then by its technical loop
+    (the last state by its loop only), and from state i exactly the tokens
+    after it are left.
     """
     tokens = alphabet.tokenize(string)
+    n = len(tokens)
     char, tech = alphabet._char_mask, alphabet.tech  # tokenize knows every token
-    arcs = [(i, i + 1, char[tok], False) for i, tok in enumerate(tokens)]
-    arcs += [(q, q, tech, False) for q in range(len(tokens) + 1)]
-    m = Fsa.from_raw(alphabet, len(tokens) + 1, 0, frozenset({len(tokens)}), tuple(arcs))
-    _set_bits(m, [char[tok] | tech for tok in tokens] + [tech])
-    left = list(range(len(tokens), -1, -1))
+    # the arcs, the adjacency and the out-labels, in one pass
+    steps, loops, out, bits = [], [], [], []
+    for i, tok in enumerate(tokens):
+        label = char[tok]
+        step, loop = (i, i + 1, label, False), (i, i, tech, False)
+        steps.append(step)
+        loops.append(loop)
+        out.append([step, loop])
+        bits.append(label | tech)
+    loop = (n, n, tech, False)
+    loops.append(loop)
+    out.append([loop])
+    bits.append(tech)
+    m = Fsa.from_raw(alphabet, n + 1, 0, frozenset((n,)), tuple(steps + loops))
+    _set_out(m, out)
+    _set_bits(m, bits)
+    left = list(range(n, -1, -1))
     _set_rest(m, (left, left))
     return m

@@ -22,7 +22,7 @@ from typing import Callable, Hashable
 from .alphabet import Alphabet
 from .enrich import add_repeats, add_self_loops, add_skips
 from .errors import DEFAULT_BUDGET, AutomatonError, ExpansionBudgetError
-from .fsa import Fsa, prune
+from .fsa import Fsa, pruned_from_raw
 
 # An expansion is (out-arcs as (dst-descriptor, bits, pc) triples, is-final).
 Expansion = tuple[tuple[tuple[Hashable, int, bool], ...], bool]
@@ -155,7 +155,9 @@ def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
     """Exhaustive expansion into a trimmed eager Fsa (states in discovery order).
 
     Every descriptor found is reachable, so the dead ones (a lazy product
-    keeps every pair it expands) are pruned by the backward pass alone.
+    keeps every pair it expands) are cut by the backward pass alone, from
+    the raw lists (`fsa.pruned_from_raw`): one machine is built, or the
+    canonical empty one.
     """
     ids: dict[Hashable, int] = {l.start: 0}
     queue = deque([l.start])
@@ -176,7 +178,7 @@ def materialize(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> Fsa:
                 ids[dst] = tid
                 queue.append(dst)
             arcs.append((sid, tid, bits, pc))
-    return prune(Fsa.from_raw(l.alphabet, len(ids), 0, frozenset(finals), tuple(arcs)))
+    return pruned_from_raw(l.alphabet, len(ids), 0, finals, arcs)
 
 
 def is_empty_lazy(l: LazyFsa, budget: int = DEFAULT_BUDGET) -> bool:

@@ -1,8 +1,13 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from redup.alphabet import Alphabet
+
+# Twenty times the default examples, for a differential module whose tests
+# set no count of their own: `pytest --hypothesis-profile=thorough ...`
+settings.register_profile("thorough", max_examples=2000, deadline=None)
 
 
 def pytest_terminal_summary(terminalreporter):
