@@ -11,37 +11,36 @@ An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
 for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 ``compiler`` works on that form directly. ``arcs`` is a view of the same
 arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
-An open product (``_kernel.product``) reads three more caches of each
-machine itself. ``label_index`` holds the arcs of each state with many
-out-arcs grouped by label, and each group split by its arcs' targets into
-the sub-buckets the product tests. ``out_bits``, the OR of each state's
-out-arc labels, lets it skip dead-end pairs, and ``rest_bounds``, read at
-its first high-fan-out pair, the fewest and the most segment symbols left
-on a path from each state to a final, lets it skip pairs whose remaining
-lengths cannot meet. A closed product reads none of them. None of the
-caches, nor the trim mark below, takes part in equality, hashing, pickling
-or copies.
+An open product (``_kernel.product``) reads two more caches of each
+machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
+it skip dead-end pairs, and ``live_memo``, filled by the products of parse
+chains against the machine, holds the sets of states that can still read
+each suffix of a query. A parse chain carries one mark, its token labels,
+which sends its product to that memo. A closed product reads none of them.
+None of the caches, nor the marks, takes part in equality, hashing,
+pickling or copies.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``, which sets each slot by a setter bound
 once at import.
 
 A machine built by search from its start state is reachable by
-construction: the open product of ``interpret.intersect_open`` and
-``lazy.materialize``. Both trim it with ``pruned_from_raw``, the backward
-half of ``trim`` run over the search's raw lists, so the trim machine is
-the only one built and no adjacency is built; ``prune`` is the same pass
-over a machine already built. Machines built by filtering arcs (``close``
-of one machine, ``project_surface``) can have dead states and use
-``trim``. The three mark what they return as trim, and ``trim`` and
-``prune`` return a marked machine at once; ``is_empty`` answers it
-without a walk. The builders whose output is trim by construction mark
-it: ``empty_string_fsa``, ``symbol_fsa``, ``build_from_string``,
-``combine`` (which trims no result, see there), the subset constructions
-of ``determinize`` and ``minimize`` (run on trim machines, every subset is
-reached and reaches a final), the closed product of ``interpret.close``
-and the compiler's symbol and rule machines. Enriching or retyping arcs
-keeps every state live, and so keeps the operand's mark. The canonical
+construction: an open product of ``interpret.intersect_open`` other than
+a parse's, and ``lazy.materialize``. Both trim it with
+``pruned_from_raw``, the backward half of ``trim`` run over the search's
+raw lists, so the trim machine is the only one built and no adjacency is
+built; ``prune`` is the same pass over a machine already built. Machines
+built by filtering arcs (``close`` of one machine, ``project_surface``)
+can have dead states and use ``trim``. The three mark what they return as
+trim, and ``trim`` and ``prune`` return a marked machine at once;
+``is_empty`` answers it without a walk. The builders whose output is
+trim by construction mark it: ``empty_string_fsa``, ``symbol_fsa``,
+``build_from_string``, ``combine`` (which trims no result, see there),
+the subset constructions of ``determinize`` and ``minimize`` (run on trim
+machines, every subset is reached and reaches a final), the closed
+product of ``interpret.close``, a parse's product (it enters only live
+pairs) and the compiler's symbol and rule machines. Enriching or
+retyping arcs keeps every state live, and so keeps the operand's mark. The canonical
 empty machine is never marked, and they return it as it is too.
 
 No operation builds epsilon edges. Where concatenation, union, star or
@@ -61,7 +60,6 @@ without walking again.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import accumulate, compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,9 +67,6 @@ from .alphabet import Alphabet
 from .errors import AutomatonError, EnumerationCapError, Frozen
 
 DEFAULT_ENUM_CAP = 200_000
-
-# `Fsa.rest_bounds` where no bound holds: more than any path's length.
-UNBOUNDED = 1 << 62
 
 RawArc = tuple[int, int, int, bool]  # (src, dst, bits, pc)
 
@@ -96,7 +91,7 @@ class Fsa(Frozen):
 
     __slots__ = (
         "alphabet", "n", "start", "finals", "raw_arcs",
-        "_arcs", "_out", "_index", "_bits", "_rest", "_trim", "_hash",
+        "_arcs", "_out", "_bits", "_memo", "_tokens", "_trim", "_hash",
     )
 
     def __init__(
@@ -186,22 +181,6 @@ class Fsa(Frozen):
             _set_out(self, out)
         return out
 
-    def label_index(self) -> dict:
-        """The product kernel's cache of label indexes, by state.
-
-        An open ``_kernel.product`` fills it for the high-fan-out states it
-        visits: under a state q, its arcs' positions grouped by label bits,
-        each group split into sub-buckets by their targets' out-labels,
-        finality and bounds. A machine used in many open products (a
-        compiled lexicon) so groups and splits its arcs once. Like the
-        adjacency, it is left out of equality, hashing, pickling and copies.
-        """
-        index = self._index
-        if index is None:
-            index = {}
-            _set_index(self, index)
-        return index
-
     def out_bits(self) -> list[int]:
         """Per state, the OR of the labels of the arcs leaving it (0 if none).
 
@@ -216,24 +195,22 @@ class Fsa(Frozen):
             _set_bits(self, bits)
         return bits
 
-    def rest_bounds(self) -> tuple[list[int], list[int]]:
-        """Per state q, bounds ``(lo[q], hi[q])`` on the number of segment
-        symbols in any string that leads from q to a final.
+    def live_memo(self) -> dict:
+        """The product kernel's memo of live sets, empty at first.
 
-        ``lo`` counts the arcs with no technical symbol in their label, the
-        fewest on any path to a final. ``hi`` counts the arcs with a segment
-        symbol, the most on any path; a self-loop of technicals only adds
-        none, and any other cycle on the way to a final leaves ``hi`` at
-        ``UNBOUNDED``. A state that reaches no final gets ``lo = UNBOUNDED``
-        and ``hi = -1``, an interval nothing fits in. Built on first use and
-        cached like the adjacency, for the product kernel's length test;
-        read them and never mutate them.
+        A product against a parse chain (``_kernel.product``) fills it: its
+        backward walk keys each set of states that can still read a suffix
+        of a query by the set one token later and that token's label, and
+        keeps what every walk starts from under None. A machine parsed
+        against many times (a compiled lexicon) so walks each step back
+        once. Left out of equality, hashing, pickling and copies like the
+        adjacency.
         """
-        rest = self._rest
-        if rest is None:
-            rest = _rest_bounds(self)
-            _set_rest(self, rest)
-        return rest
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            _set_memo(self, memo)
+        return memo
 
     def __eq__(self, other):
         if self is other:
@@ -286,7 +263,7 @@ class Fsa(Frozen):
 
 # each slot's setter, bound once: a write skips `object.__setattr__`'s lookup
 (_set_alphabet, _set_n, _set_start, _set_finals, _set_raw_arcs, _set_arcs, _set_out,
- _set_index, _set_bits, _set_rest, _set_trim, _set_hash) = (
+ _set_bits, _set_memo, _set_tokens, _set_trim, _set_hash) = (
     getattr(Fsa, slot).__set__ for slot in Fsa.__slots__)
 
 
@@ -298,9 +275,9 @@ def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
     _set_raw_arcs(m, raw_arcs)
     _set_arcs(m, arcs)
     _set_out(m, None)
-    _set_index(m, None)
     _set_bits(m, None)
-    _set_rest(m, None)
+    _set_memo(m, None)
+    _set_tokens(m, None)
     _set_trim(m, False)
     _set_hash(m, None)
 
@@ -310,54 +287,6 @@ def _marked(m: Fsa, mark: bool = True) -> Fsa:
     by construction, or as trim as the operand it was built from."""
     _set_trim(m, mark)
     return m
-
-
-def _rest_bounds(a: Fsa) -> tuple[list[int], list[int]]:
-    """`Fsa.rest_bounds`, computed: a 0-1 breadth-first search back from
-    the finals for ``lo``, then longest paths over the states that reach a
-    final, taken in reverse topological order (Kahn), for ``hi``."""
-    n, tech, seg = a.n, a.alphabet.tech, a.alphabet.seg
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, d, b, _pc in a.raw_arcs:
-        inc[d].append((s, b))
-    lo = [UNBOUNDED] * n
-    todo = deque(a.finals)
-    for q in todo:
-        lo[q] = 0
-    while todo:
-        q = todo.popleft()
-        for s, b in inc[q]:
-            if b & tech:
-                if lo[q] < lo[s]:
-                    lo[s] = lo[q]
-                    todo.appendleft(s)
-            elif lo[q] + 1 < lo[s]:
-                lo[s] = lo[q] + 1
-                todo.append(s)
-    # An arc counts for `hi` if it enters a state that reaches a final and is
-    # not a self-loop of technicals only; `left[q]` is how many of q's such
-    # arcs lead to a state not yet settled.
-    left = [0] * n
-    for s, d, b, _pc in a.raw_arcs:
-        if lo[d] != UNBOUNDED and (s != d or b & seg):
-            left[s] += 1
-    hi = [-1] * n
-    for q in a.finals:
-        hi[q] = 0
-    ready = [q for q in range(n) if lo[q] != UNBOUNDED and not left[q]]
-    while ready:
-        q = ready.pop()
-        for s, b in inc[q]:
-            if s == q and not b & seg:
-                continue
-            hi[s] = max(hi[s], hi[q] + 1 if b & seg else hi[q])
-            left[s] -= 1
-            if not left[s]:
-                ready.append(s)
-    for q in range(n):
-        if left[q]:  # on or before a cycle
-            hi[q] = UNBOUNDED
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

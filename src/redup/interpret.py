@@ -19,7 +19,7 @@ from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
 from .fsa import (
-    Fsa, _marked, _set_bits, _set_out, _set_rest, never_fsa, pruned_from_raw, trim,
+    Fsa, _marked, _set_tokens, never_fsa, pruned_from_raw, trim,
 )
 
 
@@ -30,8 +30,9 @@ class ProductStats:
     """Work counters accumulated across the products of intersect_open and close.
 
     `per_call` holds one count per product: for an open product the pairs
-    it entered, which leaves out the dead-end pairs and the pairs of
-    lengths that cannot meet that it skips (see `_kernel.product`), and for
+    it entered: for a parse (a product against a parse chain) the live
+    pairs only, so 0 for a query its backward walk rejects, and for any
+    other all but the dead-end pairs it skips (see `_kernel.product`); for
     a closed product the pairs its backward walk found.  Passed to
     `CompiledGrammar.compile`, it sees each product the compile runs, the
     closed product of a `closed_interpretation` included.  A product in a
@@ -78,19 +79,23 @@ def _same_alphabet(a: Fsa, b: Fsa) -> None:
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Pairwise product with label intersection and producer-dominant pc.
 
-    The product skips dead-end pairs, and, at a high-fan-out state such as
-    a lexicon's start, pairs whose remaining lengths cannot meet (see
-    `_kernel.product`); `stats` counts only the pairs it enters, and the
-    result is the same trim machine.  The kernel's raw arcs are trimmed as
-    they are (`fsa.pruned_from_raw`), so the result is the only machine
-    built: the trim product, or the canonical empty machine when no pair of
-    finals is reached.
+    The product skips dead-end pairs, and against a parse chain every pair
+    that cannot reach a pair of finals (see `_kernel.product`); `stats`
+    counts only the pairs it enters.  The result is the only machine built:
+    the trim product, or the canonical empty machine when no pair of
+    finals is reached.  A product against a parse chain is trim as it
+    comes; the others' raw arcs are trimmed as they are
+    (`fsa.pruned_from_raw`).
     """
     _same_alphabet(a, b)
     n, start, finals, arcs, visited = _kernel.product(a, b)
     if stats is not None:
         stats.record(visited)
-    return pruned_from_raw(a.alphabet, n, start, finals, arcs)
+    if b._tokens is None:
+        return pruned_from_raw(a.alphabet, n, start, finals, arcs)
+    if not finals:
+        return never_fsa(a.alphabet)
+    return _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 
 def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
@@ -169,31 +174,16 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     — underspecified for all attributes, with a consumer {repeat, skip} self
     loop on each state so the grammar's technical arcs can surface anywhere.
     An unknown token raises `InventoryError`.  Every label comes from the
-    alphabet itself, so the chain is built without validation, and its
-    adjacency (`out_raw`), `out_bits` and `rest_bounds` are set, not
-    computed: state i leaves by its token arc, then by its technical loop
-    (the last state by its loop only), and from state i exactly the tokens
-    after it are left.
+    alphabet itself, so the chain is built without validation.  It is
+    marked with its token labels, which is all a product against it reads
+    (`_kernel.product`); the mark, like a cache, takes no part in equality,
+    hashing, pickling or copies.
     """
-    tokens = alphabet.tokenize(string)
-    n = len(tokens)
     char, tech = alphabet._char_mask, alphabet.tech  # tokenize knows every token
-    # the arcs, the adjacency and the out-labels, in one pass
-    steps, loops, out, bits = [], [], [], []
-    for i, tok in enumerate(tokens):
-        label = char[tok]
-        step, loop = (i, i + 1, label, False), (i, i, tech, False)
-        steps.append(step)
-        loops.append(loop)
-        out.append([step, loop])
-        bits.append(label | tech)
-    loop = (n, n, tech, False)
-    loops.append(loop)
-    out.append([loop])
-    bits.append(tech)
-    m = Fsa.from_raw(alphabet, n + 1, 0, frozenset((n,)), tuple(steps + loops))
-    _set_out(m, out)
-    _set_bits(m, bits)
-    left = list(range(n, -1, -1))
-    _set_rest(m, (left, left))
+    labels = [char[tok] for tok in alphabet.tokenize(string)]
+    n = len(labels)
+    arcs = [(i, i + 1, label, False) for i, label in enumerate(labels)]
+    arcs += [(i, i, tech, False) for i in range(n + 1)]
+    m = Fsa.from_raw(alphabet, n + 1, 0, frozenset((n,)), tuple(arcs))
+    _set_tokens(m, labels)
     return m

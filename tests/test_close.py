@@ -25,7 +25,7 @@ from redup.compiler import compile_grammar
 from redup.fsa import Fsa
 from redup.interpret import ProductStats, close, closing_order, intersect_open
 from test_koasati_oracle import koasati
-from test_representation import EVERY_PAIR, every_state_indexed, pruned, random_parts
+from test_representation import EVERY_PAIR, pruned, random_parts
 
 
 def forward_close(*parts, stats=None):
@@ -67,14 +67,6 @@ def ref_coreachable(a, b):
 def test_close_equals_the_pruned_forward_product(ab, data):
     parts = random_parts(ab, data.draw)
     assert_identical(close(*parts), forward_close(*parts))
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_indexed_close_equals_the_pruned_forward_product(ab, data):
-    parts = random_parts(ab, data.draw)
-    with every_state_indexed():
-        assert_identical(close(*parts), forward_close(*parts))
 
 
 @settings(max_examples=300, deadline=None)

@@ -47,7 +47,7 @@ from redup.fsa import (
     minimize,
     trim,
 )
-from redup.interpret import close
+from redup.interpret import close, intersect_open, prepare_parse_input
 from test_koasati_oracle import compile_lexicon, koasati
 from test_representation import random_fsa, random_parts
 
@@ -285,11 +285,12 @@ def test_every_slot_is_frozen_and_set_fresh(ab, slot):
 def test_copies_pickles_and_equals_get_fresh_caches():
     m = wordform(400)[0]
     close(m)  # marked trim: returned as it is
-    m.out_raw(), m.out_bits(), m.rest_bounds(), m.arcs, hash(m)
-    assert m._trim and m._out is not None and m._hash is not None
+    m.out_raw(), m.out_bits(), m.arcs, hash(m)
+    intersect_open(m, prepare_parse_input(m.alphabet, "lapatlin"))  # fills the live memo
+    assert m._trim and m._out is not None and m._memo and m._hash is not None
     fresh = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     assert fresh == m and hash(fresh) == hash(m) and not fresh._trim
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), fresh):
         assert twin == m and hash(twin) == hash(m) and twin is not m
-        assert (twin._arcs, twin._out, twin._index, twin._bits, twin._rest, twin._trim) == (
+        assert (twin._arcs, twin._out, twin._bits, twin._memo, twin._tokens, twin._trim) == (
             None, None, None, None, None, False)

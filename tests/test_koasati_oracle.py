@@ -17,7 +17,6 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redup import _kernel
 from redup.analyses import grammar_source
 from redup.compiler import compile_grammar
 from redup.fsa import is_empty, surface_strings
@@ -89,16 +88,13 @@ def test_a_stem_without_forms_has_an_empty_wordform():
 
 
 def test_empty_and_one_token_strings_match_the_oracle():
-    """The shortest chains, one state with bounds 0 and two with bounds 1,
-    against a lexicon whose start state is paired through its sub-buckets."""
+    """The shortest chains, of one state and of two, against a lexicon
+    whose start state has many out-arcs."""
     stems = koasati.stems(1, 100)
     forms = koasati.lexicon_forms(stems)
     cg = compile_lexicon(stems)
     eager = cg.compile(koasati.ENTRY)
     lazy = cg.compile(koasati.ENTRY, engine="lazy")
-    assert len(eager.out_raw()[eager.start]) >= _kernel.FANOUT
+    assert len(eager.out_raw()[eager.start]) >= 16
     for surface in ["", *TOKENS]:
-        chain = prepare_parse_input(cg.alphabet, surface)
-        lo, hi = chain.rest_bounds()
-        assert lo == hi == list(range(len(surface), -1, -1))
         assert parses(cg, eager, lazy, surface) == (surface in forms,) * 2, surface

@@ -8,11 +8,15 @@ that built one.
   `Fsa.from_raw`, then pruned by the backward pass of ``ref_prune``, a
   copy of `prune` as it was. The two must agree exactly (state count,
   start, finals, the raw arc sequence and the trim mark) on products of
-  random machines, on every open product and lazy materialization of the
-  parameterless shipped entries, and on the parses of 2,000 seeded
-  queries against the seed-1 400-stem Koasati wordform.
-- `interpret.prepare_parse_input` presets the chain's adjacency, which
-  must equal the adjacency computed for an equal chain.
+  random machines, and on every open product and lazy materialization of
+  the parameterless shipped entries.
+- A parse's product enters only live pairs, so it is trim as it comes and
+  is not cut at all. ``ref_open_product`` below is the open product a
+  parse ran before: pruned, it must equal the parse's product exactly on
+  2,000 seeded queries against the seed-1 400-stem Koasati wordform, and
+  `test_live_pairs` checks it further.
+- `interpret.prepare_parse_input` builds the chain's arcs and marks it
+  with its token labels, and nothing else.
 - `fsa._subset_construct` keys a label that is an atom by itself and
   splits only a label of several atoms; ``ref_subset_construct`` below is
   the version that looked every label's atoms up by index.
@@ -37,7 +41,9 @@ from redup.analyses import GRAMMAR_NAMES, load_grammar
 from redup.compiler import _ENRICH_FN
 from redup.enrich import add_self_loops
 from redup.fsa import (
+    Arc,
     Fsa,
+    Label,
     determinize,
     is_empty,
     minimize,
@@ -45,7 +51,7 @@ from redup.fsa import (
     prune,
     pruned_from_raw,
 )
-from redup.interpret import close, intersect_open, prepare_parse_input
+from redup.interpret import ProductStats, close, intersect_open, prepare_parse_input
 from redup.lazy import lazy_intersect, lazy_wrap, materialize
 from test_koasati_oracle import compile_lexicon, koasati
 from test_representation import EVERY_PAIR, random_fsa
@@ -90,6 +96,31 @@ def ref_prune(a):
 def ref_pruned(alphabet, n, start, finals, arcs):
     """A search result as it was trimmed: built whole first, then pruned."""
     return ref_prune(Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs)))
+
+
+def ref_open_product(a, b):
+    """The open product as a parse ran it before its pairs were tested for
+    liveness: every pair reached over arc pairs whose labels overlap, but
+    for the dead ends, whose two states' out-labels do not overlap and are
+    not both final. Returns (n, start, finals, arcs, entered) as
+    `_kernel.product` does."""
+    out_a, out_b, bits_a, bits_b = a.out_raw(), b.out_raw(), a.out_bits(), b.out_bits()
+    ids = {(a.start, b.start): 0}
+    todo, finals, arcs = [(a.start, b.start)], [], []
+    while todo:
+        qa, qb = pair = todo.pop()
+        if qa in a.finals and qb in b.finals:
+            finals.append(ids[pair])
+        for _sa, da, ba, pa in out_a[qa]:
+            for _sb, db, bb, pb in out_b[qb]:
+                if ba & bb:
+                    if (da, db) not in ids:
+                        if not (bits_a[da] & bits_b[db] or da in a.finals and db in b.finals):
+                            continue
+                        ids[da, db] = len(ids)
+                        todo.append((da, db))
+                    arcs.append((ids[pair], ids[da, db], ba & bb, pa or pb))
+    return len(ids), 0, finals, arcs, len(ids)
 
 
 def ref_subset_construct(by_src, initial, accepting, atoms):
@@ -249,15 +280,19 @@ def test_every_lazy_materialization_of_a_shipped_entry_matches():
 
 def test_parses_of_seeded_queries_match():
     """2,000 queries, half forms and half near misses of them, against the
-    seed-1 400-stem wordform: each open product as the reference prunes
-    it, and each verdict the oracle's."""
+    seed-1 400-stem wordform: each open product the reference's pruned,
+    none cut, each entering only the reference's live pairs, and each
+    verdict the oracle's."""
     cg, m, accepted = lexicon(400)
     queries = koasati.queries(1, accepted, 2000)
-    patch, built = checked(interpret)
-    with patch:
-        verdicts = [not is_empty(close(intersect_open(m, prepare_parse_input(cg.alphabet, q))))
-                    for q in queries]
-    assert len(built) == 2000
+    stats, verdicts = ProductStats(), []
+    with mock.patch.object(interpret, "pruned_from_raw", side_effect=AssertionError("cut")):
+        for q in queries:
+            chain = prepare_parse_input(cg.alphabet, q)
+            got = intersect_open(m, chain, stats)
+            identical(got, ref_pruned(cg.alphabet, *ref_open_product(m, chain)[:4]))
+            assert stats.per_call[-1] == (got.n if got.finals else 0)
+            verdicts.append(not is_empty(close(got)))
     assert verdicts == [q in accepted for q in queries]
     assert 800 < sum(verdicts) < 1200
 
@@ -285,21 +320,24 @@ def test_a_lexicon_compile_builds_fewer_machines():
     assert len(built) <= 1950
 
 
-# -- the parse chain's adjacency --------------------------------------------------------
+# -- the parse chain ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("surface", ["", "a", "lapatlookin", "okhoocakkon"])
-def test_preset_chain_adjacency_is_the_computed_one(surface):
+def test_chain_is_built_with_its_token_labels_only(surface):
+    """The chain equals the one the validating constructor builds: a
+    consumer arc per token, then a technical loop per state. It carries its
+    token labels and no cache."""
     al = load_grammar("koasati").alphabet
+    tokens = al.tokenize(surface)
+    n = len(tokens)
+    want = Fsa(al, n + 1, 0, {n}, [Arc(i, Label(al.char(t), False), i + 1)
+                                   for i, t in enumerate(tokens)]
+               + [Arc(i, Label(al.tech, False), i) for i in range(n + 1)])
     chain = prepare_parse_input(al, surface)
-    twin = Fsa.from_raw(al, chain.n, chain.start, chain.finals, chain.raw_arcs)
-    assert chain._out is not None and twin._out is None
-    assert chain.out_raw() == twin.out_raw()
-    # the lists hold the chain's own arcs
-    assert [arc for arcs in chain.out_raw() for arc in arcs] == sorted(
-        chain.raw_arcs, key=lambda arc: arc[0])
-    assert all(any(arc is own for own in chain.raw_arcs)
-               for arcs in chain.out_raw() for arc in arcs)
+    assert chain == want and chain.raw_arcs == want.raw_arcs
+    assert chain._tokens == [al.char(t) for t in tokens]
+    assert (chain._out, chain._bits, chain._memo) == (None, None, None)
 
 
 # -- subset construction -------------------------------------------------------------------

@@ -4,10 +4,9 @@ The reference product, trim and close below are written against the public
 ``Arc``/``Label`` view only, so they share no code with the raw-arc
 operations they check. On random machines, open intersection, closing and
 the three enrichments must match them exactly: same state count, start and
-finals, and the same arcs as a multiset. The product's label index and its
-dead-end rule are checked the same way, the index with every state forced
-through it. The mark that records a machine as trim is checked never to
-lie.
+finals, and the same arcs as a multiset. The product's dead-end rule is
+checked the same way. The mark that records a machine as trim is checked
+never to lie.
 """
 
 import copy
@@ -28,7 +27,6 @@ from redup.compiler import _Evaluator, _retyped, compile_rule
 from redup.enrich import add_repeats, add_self_loops, add_skips
 from redup.errors import AutomatonError
 from redup.fsa import (
-    UNBOUNDED,
     Arc,
     Fsa,
     Label,
@@ -43,7 +41,6 @@ from redup.fsa import (
     prune,
     symbol_fsa,
     trim,
-    _set_rest,
 )
 from redup.interpret import ProductStats, close, intersect_open
 
@@ -179,24 +176,10 @@ class _EveryPair:
 EVERY_PAIR = _EveryPair()
 
 
-def without_length_bounds(m):
-    """A copy of `m` whose bounds pass every pair, so that an open product
-    with it puts a successor to the dead-end test alone, indexed or not."""
-    m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
-    _set_rest(m, ([0] * m.n, [UNBOUNDED] * m.n))
-    return m
-
-
 def pruned(alphabet, result):
     """A product of `_kernel.product`, pruned."""
     n, start, finals, arcs, _entered = result
     return prune(Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs)))
-
-
-def every_state_indexed():
-    """Lower the kernel's fan-out cutoff to its minimum: an open product
-    then pairs every state with an arc through its label index."""
-    return mock.patch.object(_kernel, "FANOUT", 1)
 
 
 def check_intersect_open(ab, data):
@@ -210,13 +193,6 @@ def check_intersect_open(ab, data):
 @given(data=st.data())
 def test_intersect_open_matches_reference(ab, data):
     check_intersect_open(ab, data)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_indexed_intersect_open_matches_reference(ab, data):
-    with every_state_indexed():
-        check_intersect_open(ab, data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -250,15 +226,6 @@ def test_closed_product_matches_close_of_open_chain(ab, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_indexed_closed_product_matches_close_of_open_chain(ab, data):
-    with every_state_indexed():
-        parts = check_closed_chain(ab, data)
-        indexed = close(*parts)
-    assert indexed == close(*parts)  # state numbering and arc order too
-
-
-@settings(max_examples=150, deadline=None)
 @given(data=st.data(), closed=st.booleans())
 def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
     a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
@@ -272,10 +239,9 @@ def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
 
 def check_dead_end_rule(ab, data):
     """The open product, pruned, is the reference product trimmed, arc
-    order included; with bounds that pass every pair, it enters the start
-    pair and exactly the reference's pairs whose states' out-labels overlap
-    or are both final."""
-    a, b = (without_length_bounds(m) for m in random_parts(ab, data.draw, 2))
+    order included; it enters the start pair and exactly the reference's
+    pairs whose states' out-labels overlap or are both final."""
+    a, b = random_parts(ab, data.draw, 2)
     n, start, finals, arcs, entered = _kernel.product(a, b)
     got = prune(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs)))
     want = ref_intersect_open(a, b)
@@ -296,13 +262,6 @@ def test_dead_end_rule_keeps_the_pruned_product(ab, data):
     check_dead_end_rule(ab, data)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_indexed_dead_end_rule_keeps_the_pruned_product(ab, data):
-    with every_state_indexed():
-        check_dead_end_rule(ab, data)
-
-
 def test_a_dead_end_pair_is_no_longer_entered(ab):
     a_, b_ = ab.char("a"), ab.char("b")
     x = Fsa.from_raw(ab, 3, 0, frozenset({2}), ((0, 1, a_, True), (1, 2, b_, True)))
@@ -318,79 +277,6 @@ def test_a_dead_end_pair_is_no_longer_entered(ab):
     want = ref_intersect_open(x, y)
     same_machine(got, want)
     assert got.raw_arcs == want.raw_arcs == ((0, 1, a_, True), (1, 2, b_, True))
-
-
-# -- the label index on a high-fan-out state ------------------------------------------
-
-
-def stem_union(ab, count):
-    """A union of `count` two-token stems whose first labels interleave a,
-    b and a-or-b, producers and consumers: the root has `count` out-arcs."""
-    a, b = ab.char("a"), ab.char("b")
-    firsts = [(a, True), (b, False), (a | b, True), (a, False), (b, True)]
-    stems = []
-    for i in range(count):
-        bits, pc = firsts[i % len(firsts)]
-        stems.append(Fsa.from_raw(ab, 3, 0, frozenset({2}),
-                                  ((0, 1, bits, pc), (1, 2, b if i % 2 else a, pc))))
-    return combine("union", stems)
-
-
-def probe(ab):
-    """Three overlapping arcs from the start, then any token, all consumers."""
-    a, b = ab.char("a"), ab.char("b")
-    return Fsa.from_raw(ab, 3, 0, frozenset({2}), (
-        (0, 1, a, False), (0, 1, b, False), (0, 1, a | b, False), (1, 2, a | b, False),
-    ))
-
-
-@pytest.mark.parametrize("closed", [False, True])
-@pytest.mark.parametrize("lexicon_side", ["a", "b"])
-def test_indexed_state_keeps_the_plain_loop_order(ab, closed, lexicon_side):
-    count = 3 * _kernel.FANOUT
-    lexicon, query = stem_union(ab, count), probe(ab)
-    assert len(lexicon.out_raw()[lexicon.start]) == count
-    x, y = (lexicon, query) if lexicon_side == "a" else (query, lexicon)
-
-    def run():
-        return _kernel.product(x, y, EVERY_PAIR if closed else None)
-
-    def check(indexed):
-        # an open product puts the successors of an indexed pair, and only
-        # those, to the length test, so only its pruned result is the same
-        if closed:
-            assert indexed == plain
-        else:
-            assert pruned(ab, indexed) == pruned(ab, plain)  # raw_arcs order too
-
-    with mock.patch.object(_kernel, "FANOUT", count + 1):
-        plain = run()  # no state reaches the cutoff: the plain double loop
-    assert lexicon.label_index() == {}
-    check(run())
-    if closed:
-        # a closed product pairs every state through the plain loop
-        assert lexicon.label_index() == {}
-    else:
-        # one group per distinct label bits, whatever the arcs' pc
-        start = lexicon.start
-        start_arcs = lexicon.out_raw()[start]
-        assert list(lexicon.label_index()) == [start]
-        assert len(lexicon.label_index()[start]) == len({b for _s, _d, b, _pc in start_arcs})
-    assert query.label_index() == {}
-    check(run())  # from the cached index
-
-
-def test_label_index_is_left_out_of_equality_pickling_and_copies(ab):
-    lexicon = stem_union(ab, 2 * _kernel.FANOUT)
-    fresh = Fsa.from_raw(ab, lexicon.n, lexicon.start, lexicon.finals, lexicon.raw_arcs)
-    intersect_open(lexicon, probe(ab))
-    assert lexicon.label_index() and lexicon._bits is not None and lexicon._rest is not None
-    assert lexicon == fresh and hash(lexicon) == hash(fresh)
-    for twin in (copy.copy(lexicon), copy.deepcopy(lexicon),
-                 pickle.loads(pickle.dumps(lexicon))):
-        assert twin == lexicon
-        assert twin.label_index() == {}
-        assert twin._bits is None and twin._rest is None
 
 
 @settings(max_examples=100, deadline=None)
