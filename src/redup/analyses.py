@@ -65,15 +65,14 @@ def build_stem(
 
     Constraints apply one at a time so that an over-constrained entry fails
     loudly: the first one that empties the language is reported by name in a
-    StemRejectedError.  They default to the Koasati set.
+    StemRejectedError.  They default to the Koasati set, as `grammar`
+    defines it (the packaged Koasati grammar when none is given).
     """
     if not spec.body:
         raise ValueError("stem body must be non-empty")
     cg = grammar if grammar is not None else load_grammar("koasati")
     if constraints is None:
-        constraints = koasati_constraints()
-        if constraint_names is None:
-            constraint_names = KOASATI_CONSTRAINT_NAMES
+        constraints, constraint_names = _koasati_set(grammar, constraint_names)
     if constraint_names is None:
         constraint_names = tuple(f"constraint {i + 1}" for i in range(len(constraints)))
 
@@ -117,9 +116,9 @@ class Lexicon:
         constraint_names: Sequence[str] | None = None,
         grammar: CompiledGrammar | None = None,
     ) -> "Lexicon":
-        return cls(
-            tuple(build_stem(s, constraints, constraint_names, grammar) for s in specs)
-        )
+        if constraints is None:  # compiled once for every stem
+            constraints, constraint_names = _koasati_set(grammar, constraint_names)
+        return cls(tuple(build_stem(s, constraints, constraint_names, grammar) for s in specs))
 
     def union(self) -> Fsa:
         if len(self.stems) == 1:
@@ -135,11 +134,29 @@ class Lexicon:
 def koasati_constraints() -> tuple[Fsa, ...]:
     """Moraification, first-heavy-syllable marking, and positional
     classification, each wrapped so technical symbols are invisible to it."""
-    cg = load_grammar("koasati")
+    return _compile_constraints(load_grammar("koasati"))
+
+
+def _compile_constraints(cg: CompiledGrammar) -> tuple[Fsa, ...]:
+    """`koasati_constraints` as `cg` defines them; CompileError if it
+    lacks one."""
     return tuple(
         cg.compile(f"ignore_technical_symbols_in({name})")
         for name in KOASATI_CONSTRAINT_NAMES
     )
+
+
+def _koasati_set(
+    grammar: CompiledGrammar | None, names: Sequence[str] | None
+) -> tuple[tuple[Fsa, ...], Sequence[str]]:
+    """The default constraints of a stem of `grammar` (the packaged Koasati
+    grammar if None, whose are cached), and their names: `names` if given,
+    else the Koasati ones."""
+    if grammar is None or grammar is load_grammar("koasati"):
+        constraints = koasati_constraints()
+    else:
+        constraints = _compile_constraints(grammar)
+    return constraints, KOASATI_CONSTRAINT_NAMES if names is None else names
 
 
 @functools.cache

@@ -24,24 +24,27 @@ builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``, which sets each slot by a setter bound
 once at import.
 
-A machine built by search from its start state is reachable by
-construction: an open product of ``interpret.intersect_open`` other than
-a parse's, and ``lazy.materialize``. Both trim it with
-``pruned_from_raw``, the backward half of ``trim`` run over the search's
-raw lists, so the trim machine is the only one built and no adjacency is
-built; ``prune`` is the same pass over a machine already built. Machines
-built by filtering arcs (``close`` of one machine, ``project_surface``)
-can have dead states and use ``trim``. The three mark what they return as
-trim, and ``trim`` and ``prune`` return a marked machine at once;
-``is_empty`` answers it without a walk. The builders whose output is
-trim by construction mark it: ``empty_string_fsa``, ``symbol_fsa``,
+Trimming is one rule: keep the states on some path from the start to a
+final, numbered in order, and mark the result trim; a machine with no such
+path becomes the canonical empty machine, which is never marked. It has
+two entry points over one walk (``_live``, a forward search and then
+``_coreachable`` back from the finals it reached). ``trim`` takes a built
+machine, such as the arc-filtered results of ``close`` of one machine and
+of ``project_surface``, which can have dead states. ``pruned_from_raw``
+takes the raw lists of a search from the start state, which are reachable
+by construction: an open product of ``interpret.intersect_open`` other
+than a parse's, and ``lazy.materialize``. Only the backward half runs
+there, and no uncut machine or adjacency is built. ``trim`` returns a
+marked machine, and the canonical empty one, as they are, and ``is_empty``
+answers a marked one without a walk. The builders whose output is trim by
+construction mark it: ``empty_string_fsa``, ``symbol_fsa``,
 ``build_from_string``, ``combine`` (which trims no result, see there),
 the subset constructions of ``determinize`` and ``minimize`` (run on trim
-machines, every subset is reached and reaches a final), the closed
-product of ``interpret.close``, a parse's product (it enters only live
-pairs) and the compiler's symbol and rule machines. Enriching or
-retyping arcs keeps every state live, and so keeps the operand's mark. The canonical
-empty machine is never marked, and they return it as it is too.
+machines, every subset is reached and reaches a final), ``canonical``'s
+renumbering of a marked minimal machine, the closed product of
+``interpret.close``, a parse's product (it enters only live pairs) and
+the compiler's symbol and rule machines. Enriching or retyping arcs keeps
+every state live, and so keeps the operand's mark.
 
 No operation builds epsilon edges. Where concatenation, union, star or
 option would enter a part's start state by one, ``combine`` gives the
@@ -464,29 +467,15 @@ def trim(a: Fsa) -> Fsa:
     """Keep only states on some start-to-final path (canonical empty if none).
 
     Returns `a` itself when every state is live, at once when `a` is marked
-    trim or already is the canonical empty machine, and marks what it
-    returns unless it is that machine.
+    trim or already is the canonical empty machine (as a rejected parse's
+    product is when `close` trims it), and marks what it returns unless it
+    is that machine.
     """
     if a._trim:
         return a
     if not a.finals:
-        return _empty(a)
+        return a if a.n == 1 and not a.raw_arcs else never_fsa(a.alphabet)
     return _keep(a.alphabet, a.n, a.start, a.finals, a.raw_arcs, _live(a), a)
-
-
-def prune(a: Fsa) -> Fsa:
-    """`trim` for a machine whose every state is reachable from its start:
-    `pruned_from_raw` of its parts, and `a` itself when nothing is cut.
-
-    Returns at once, like `trim`, a marked machine or the canonical empty
-    one.
-    """
-    if a._trim:
-        return a
-    if not a.finals:
-        return _empty(a)
-    return _keep(a.alphabet, a.n, a.start, a.finals, a.raw_arcs,
-                 _coreachable(a.n, a.finals, a.raw_arcs), a)
 
 
 def pruned_from_raw(
@@ -504,17 +493,11 @@ def pruned_from_raw(
     before the cut, and no adjacency is built or cached. Returns the
     marked trim `Fsa`, its states numbered in order, or the canonical
     empty machine when no final is reached from the start; it is
-    `prune(Fsa.from_raw(...))`, which builds the uncut machine first.
+    `trim(Fsa.from_raw(...))`, which builds the uncut machine first.
     """
     if not finals:
         return never_fsa(alphabet)
     return _keep(alphabet, n, start, finals, arcs, _coreachable(n, finals, arcs))
-
-
-def _empty(a: Fsa) -> Fsa:
-    """The canonical empty machine: `a` itself if it is one already, as a
-    rejected parse's pruned product is when `close` trims it."""
-    return a if a.n == 1 and not a.raw_arcs else never_fsa(a.alphabet)
 
 
 def _live(a: Fsa) -> bytearray:
@@ -693,8 +676,9 @@ def canonical(a: Fsa) -> Fsa:
 
     `minimize` emits each state's arcs sorted by label, no two alike, so
     one breadth-first walk numbers the states and emits the arcs sorted by
-    source, sorting nothing. Equal canonical forms mean isomorphic minimal
-    machines, which for deterministic machines means equal languages.
+    source, sorting nothing. The result is marked trim when the minimal
+    machine is. Equal canonical forms mean isomorphic minimal machines,
+    which for deterministic machines means equal languages.
     """
     m = minimize(a)
     out = m.out_raw()
@@ -707,7 +691,8 @@ def canonical(a: Fsa) -> Fsa:
                 order[d] = len(order)
                 queue.append(d)
             arcs.append((src, order[d], b, pc))
-    return Fsa.from_raw(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals), tuple(arcs))
+    return _marked(Fsa.from_raw(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals),
+                                tuple(arcs)), m._trim)
 
 
 def language_equal(a: Fsa, b: Fsa) -> bool:
@@ -719,20 +704,11 @@ def language_equal(a: Fsa, b: Fsa) -> bool:
 
 
 def is_empty(a: Fsa) -> bool:
+    """True if no path leads from the start to a final: answered from the
+    trim mark or the finals when they settle it, and by `_live` otherwise."""
     if a._trim:  # its start is on a path to a final
         return False
-    out = a.out_raw()
-    seen = {a.start}
-    stack = [a.start]
-    while stack:
-        q = stack.pop()
-        if q in a.finals:
-            return False
-        for _s, d, _b, _pc in out[q]:
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return True
+    return not a.finals or not _live(a)[a.start]
 
 
 def accepts(a: Fsa, symbols: Iterable[int]) -> bool:

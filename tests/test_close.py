@@ -3,7 +3,7 @@
 `close(*parts)` walks back from the pairs of finals first
 (`_kernel.coreachable`) and then builds only the pairs found, so its result
 is already trim. The reference below is the construction it replaced: the
-forward closed product over every reachable pair, then `prune`. The two must
+forward closed product over every reachable pair, then `trim`. The two must
 agree exactly (state count, start, finals and the raw arc sequence), not
 only up to renumbering, on random machines with producer arcs and dead
 states (independent ones, and copies of one machine retyped with mixed
@@ -30,7 +30,7 @@ from test_representation import EVERY_PAIR, pruned, random_parts
 
 def forward_close(*parts, stats=None):
     """`close` as built before the backward pass: join every part but the
-    largest openly, run the closed product over all reachable pairs, prune."""
+    largest openly, run the closed product over all reachable pairs, trim."""
     *rest, b = closing_order(parts)
     a = reduce(lambda x, y: intersect_open(x, y, stats), rest)
     return pruned(a.alphabet, _kernel.product(a, b, EVERY_PAIR))

@@ -26,7 +26,6 @@ from redup.fsa import (
     enumerate_label_paths,
     enumerate_language,
     is_empty,
-    prune,
     surface_strings,
     symbol_fsa,
     trim,
@@ -311,7 +310,7 @@ def test_a_rejected_parse_builds_the_empty_machine_once(grammar, entry, string):
     p = intersect_open(cg.compile(entry), prepare_parse_input(cg.alphabet, string))
     assert (p.n, p.start, p.finals, p.raw_arcs) == (1, 0, frozenset(), ())
     with mock.patch.object(Fsa, "from_raw", side_effect=AssertionError("built a copy")):
-        assert close(p) is p and trim(p) is p and prune(p) is p
+        assert close(p) is p and trim(p) is p
     assert is_empty(p) and not p._trim
 
 

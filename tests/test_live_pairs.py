@@ -24,6 +24,12 @@ random acyclic and cyclic machines and on a hand-built cycle, whose memo
 stays bounded whatever the query's length. A lexicon's wide start state,
 paired through the in-arcs of the live states, keeps the out-arc order.
 
+The parse products themselves are pinned by digest: ``golden/
+parse_products.sha256`` holds the sha256 of the raw form of each open
+product and of its `close`, over 3,000 seeded queries against each of the
+seed-1 and seed-2 1,600-stem Koasati wordforms, so a change to the parse
+path must leave every product as it is.
+
 A parse enters exactly the live pairs, so `ProductStats` counts the pairs
 of its result, and none for a query the backward walk rejects. The walk's
 memo on the machine gains no entry from queries it has seen, and neither
@@ -34,6 +40,7 @@ profile registered in ``conftest.py`` can run them longer.
 """
 
 import copy
+import hashlib
 import pickle
 from functools import lru_cache
 from pathlib import Path
@@ -46,7 +53,7 @@ from hypothesis import strategies as st
 from redup import _kernel
 from redup.analyses import GRAMMAR_NAMES, load_grammar
 from redup.fsa import Fsa, combine
-from redup.interpret import ProductStats, intersect_open, prepare_parse_input
+from redup.interpret import ProductStats, close, intersect_open, prepare_parse_input
 from test_acceptance import PARSE_CASES
 from test_koasati_oracle import compile_lexicon, koasati
 from test_product_path import identical, lexicon, ref_open_product, ref_pruned, shipped_entries
@@ -364,3 +371,16 @@ def test_compiles_walk_back_no_query():
             load_grammar(grammar).compile(entry)
         machine = compile_lexicon(koasati.stems(1, 400)).compile(koasati.ENTRY)
     assert machine._memo is None
+
+
+def test_parse_products_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        stems = koasati.stems(seed, 1600)
+        cg = compile_lexicon(stems)
+        m = cg.compile(koasati.ENTRY)
+        for query in koasati.queries(seed, koasati.lexicon_forms(stems), 3000):
+            p = intersect_open(m, prepare_parse_input(cg.alphabet, query))
+            for x in (p, close(p)):
+                digest.update(repr((x.n, x.start, sorted(x.finals), x.raw_arcs)).encode())
+    assert digest.hexdigest() == (GOLDEN / "parse_products.sha256").read_text().split()[0]

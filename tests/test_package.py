@@ -8,11 +8,13 @@ Import sets are read in fresh interpreters, since this test process has
 already imported everything.
 """
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +177,41 @@ def test_lazy_engine_and_config_load_on_request(tmp_path):
     )
     assert {"redup.lazy", "configparser"} <= added
     assert "redup.analyses" not in added
+
+
+# Module-level functions that nothing in `src/redup` calls and `redup` does
+# not export, each with the reason it stays.
+UNREFERENCED = {
+    "surface_path": "kept for the rejected-parse report of ROADMAP item 8",
+}
+
+
+def test_every_module_level_function_is_used_or_exported():
+    """A function nothing refers to, in code rather than docstrings, and
+    that the package does not export, is a leftover: each module-level
+    function of `src/redup/*.py` must be named by some `Name`, `Attribute`
+    or import alias there (its own body aside), or be in `redup.__all__`.
+    Dunder hooks are called by Python itself."""
+    defined, used = {}, set()
+    for path in sorted(Path(redup.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text("utf-8")).body:
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            own = {stmt.name} if is_def else set()
+            for name in own:
+                defined[name] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.alias):
+                    names = {node.name.rpartition(".")[2], node.asname}
+                else:
+                    continue
+                used |= names - own
+    orphans = {f"{module}:{name}" for name, module in defined.items()
+               if name not in used and name not in redup.__all__
+               and not (name.startswith("__") and name.endswith("__"))
+               and name not in UNREFERENCED}
+    assert not orphans, sorted(orphans)
+    assert set(UNREFERENCED) <= set(defined) - used

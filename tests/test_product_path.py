@@ -6,7 +6,7 @@ that built one.
   build one `Fsa`, or only the canonical empty machine. ``ref_pruned``
   below is the construction it replaced: the whole machine built with
   `Fsa.from_raw`, then pruned by the backward pass of ``ref_prune``, a
-  copy of `prune` as it was. The two must agree exactly (state count,
+  copy of the former `fsa.prune`. The two must agree exactly (state count,
   start, finals, the raw arc sequence and the trim mark) on products of
   random machines, and on every open product and lazy materialization of
   the parameterless shipped entries.
@@ -48,8 +48,8 @@ from redup.fsa import (
     is_empty,
     minimize,
     never_fsa,
-    prune,
     pruned_from_raw,
+    trim,
 )
 from redup.interpret import ProductStats, close, intersect_open, prepare_parse_input
 from redup.lazy import lazy_intersect, lazy_wrap, materialize
@@ -60,7 +60,7 @@ from test_representation import EVERY_PAIR, random_fsa
 
 
 def ref_prune(a):
-    """`prune` as it was: the backward pass over `a`'s arcs, then `a` cut
+    """The former `fsa.prune`: the backward pass over `a`'s arcs, then `a` cut
     down to the states it marks, or `a` itself marked if none is cut."""
     if a._trim:
         return a
@@ -212,12 +212,12 @@ def lexicon(count):
 
 @settings(deadline=None)
 @given(data=st.data(), closed=st.booleans())
-def test_trim_builder_matches_prune_of_the_built_machine(ab, data, closed):
+def test_trim_builder_matches_trim_of_the_built_machine(ab, data, closed):
     a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
     n, start, finals, arcs, _entered = _kernel.product(a, b, EVERY_PAIR if closed else None)
     got = pruned_from_raw(ab, n, start, finals, arcs)
     identical(got, ref_pruned(ab, n, start, finals, arcs))
-    identical(got, prune(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs))))
+    identical(got, trim(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs))))
     identical(intersect_open(a, b), ref_pruned(ab, *_kernel.product(a, b)[:4]))
 
 

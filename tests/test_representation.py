@@ -6,7 +6,8 @@ operations they check. On random machines, open intersection, closing and
 the three enrichments must match them exactly: same state count, start and
 finals, and the same arcs as a multiset. The product's dead-end rule is
 checked the same way. The mark that records a machine as trim is checked
-never to lie.
+never to lie, and `is_empty` against the search for a final it once ran
+(``ref_is_empty``).
 """
 
 import copy
@@ -37,8 +38,9 @@ from redup.fsa import (
     empty_string_fsa,
     is_empty,
     minimize,
+    never_fsa,
     project_surface,
-    prune,
+    pruned_from_raw,
     symbol_fsa,
     trim,
 )
@@ -69,6 +71,21 @@ def ref_trim(m):
             if a.src in new and a.dst in new]
     return Fsa(m.alphabet, len(keep), new[m.start],
                frozenset(new[q] for q in m.finals if q in new), arcs)
+
+
+def ref_is_empty(m):
+    """The former `is_empty` walk: a search from the start for a final."""
+    out = m.out_raw()
+    seen, stack = {m.start}, [m.start]
+    while stack:
+        q = stack.pop()
+        if q in m.finals:
+            return False
+        for _s, d, _b, _pc in out[q]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return True
 
 
 def ref_product(a, b, closed=False):
@@ -177,9 +194,9 @@ EVERY_PAIR = _EveryPair()
 
 
 def pruned(alphabet, result):
-    """A product of `_kernel.product`, pruned."""
+    """A product of `_kernel.product`, built whole and then trimmed."""
     n, start, finals, arcs, _entered = result
-    return prune(Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs)))
+    return trim(Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 
 def check_intersect_open(ab, data):
@@ -227,11 +244,11 @@ def test_closed_product_matches_close_of_open_chain(ab, data):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), closed=st.booleans())
-def test_prune_equals_trim_on_unpruned_products(ab, data, closed):
+def test_pruned_from_raw_equals_trim_on_unpruned_products(ab, data, closed):
     a, b = random_fsa(ab, data.draw), random_fsa(ab, data.draw)
     n, start, finals, arcs, _pairs = _kernel.product(a, b, EVERY_PAIR if closed else None)
     m = Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs))
-    assert prune(m) == trim(m)
+    assert pruned_from_raw(ab, n, start, finals, arcs) == trim(m)
 
 
 # -- dead-end pairs ----------------------------------------------------------------------
@@ -243,7 +260,7 @@ def check_dead_end_rule(ab, data):
     pairs whose states' out-labels overlap or are both final."""
     a, b = random_parts(ab, data.draw, 2)
     n, start, finals, arcs, entered = _kernel.product(a, b)
-    got = prune(Fsa.from_raw(ab, n, start, frozenset(finals), tuple(arcs)))
+    got = pruned(ab, (n, start, finals, arcs, entered))
     want = ref_intersect_open(a, b)
     same_machine(got, want)
     assert got.raw_arcs == want.raw_arcs
@@ -380,6 +397,34 @@ def test_trim_returns_a_live_machine_unchanged(ab):
     assert trim(m) is m and m._trim
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_is_empty_matches_the_search_for_a_final(ab, data):
+    """On unmarked machines, with finals reached or not, dead starts and no
+    finals at all, and on their trimmed, marked forms."""
+    m = random_fsa(ab, data.draw)
+    assert not m._trim
+    assert is_empty(m) == ref_is_empty(m) == is_empty(trim(m))
+
+
+def test_is_empty_of_unreachable_finals_a_dead_start_and_no_finals(ab):
+    a_ = ab.char("a")
+    unreachable = Fsa.from_raw(ab, 3, 0, frozenset({2}), ((0, 1, a_, True), (2, 2, a_, True)))
+    dead_start = Fsa.from_raw(ab, 3, 1, frozenset({2}), ((0, 2, a_, True), (2, 1, a_, True)))
+    no_finals = Fsa.from_raw(ab, 2, 0, frozenset(), ((0, 1, a_, True),))
+    reached = Fsa.from_raw(ab, 3, 1, frozenset({0, 2}), ((1, 2, a_, True),))
+    for m, empty in ((unreachable, True), (dead_start, True), (no_finals, True), (reached, False)):
+        assert not m._trim and is_empty(m) == ref_is_empty(m) == empty
+
+
+def test_is_empty_of_a_marked_machine_or_one_without_finals_builds_no_adjacency(ab):
+    a_ = ab.char("a")
+    marked = build_from_string(ab, "ab")
+    no_finals = Fsa.from_raw(ab, 2, 0, frozenset(), ((0, 1, a_, True), (1, 0, a_, True)))
+    assert not is_empty(marked) and is_empty(no_finals)
+    assert marked._out is None and no_finals._out is None
+
+
 # -- the trim mark ---------------------------------------------------------------------
 
 
@@ -412,7 +457,8 @@ def test_the_trim_mark_never_lies(ab, data):
         _retyped(operand, False), _retyped(operand, True))]
     assert [m._trim for m in kept] == [o._trim for o in operands for _ in range(5)]
     made = [trim(a), close(a), close(a, b), intersect_open(a, b), combine("concat", [a, b]),
-            combine("star", [a]), determinize(a), minimize(a), project_surface(a)]
+            combine("star", [a]), determinize(a), minimize(a), canonical(a),
+            project_surface(a)]
     sets = [0, ab.char("a"), ab.char("b"), ab.named_set("mora"), ab.named_set("vowel")]
     subject, more, context = (data.draw(st.sampled_from(sets)) for _ in range(3))
     built = [build_from_string(ab, data.draw(st.sampled_from(("", "a", "bab")))),
@@ -451,6 +497,18 @@ def test_every_machine_a_compile_marks_is_trim():
     assert not load_grammar("koasati").compile("consumer([t] & vowel)")._trim
 
 
+def test_canonical_forms_of_the_shipped_entries_are_marked():
+    """`canonical` renumbers `minimize`'s marked machine, and marks it; the
+    canonical empty machine stays unmarked."""
+    for name in GRAMMAR_NAMES:
+        cg = load_grammar(name)
+        forms = [canonical(cg.compile(entry))
+                 for entry, macro in cg.macros.items() if not macro.params]
+        assert forms and all(c._trim for c in forms)
+        check_marks(forms)
+        assert not canonical(never_fsa(cg.alphabet))._trim
+
+
 def test_a_product_stays_marked_through_close_trim_and_is_empty(ab):
     a_, b_ = ab.char("a"), ab.char("b")
     word = build_from_string(ab, "ab")  # producers
@@ -458,7 +516,7 @@ def test_a_product_stays_marked_through_close_trim_and_is_empty(ab):
     p = intersect_open(word, chain)
     assert p._trim and all(pc for *_arc, pc in p.raw_arcs)
     with mock.patch.object(Fsa, "from_raw", side_effect=AssertionError("built a copy")):
-        assert close(p) is p and trim(p) is p and prune(p) is p
+        assert close(p) is p and trim(p) is p
     assert not is_empty(p) and p._out is None  # answered without a walk
     # a product with a consumer arc, into a final of its own: filtered out
     branched = Fsa.from_raw(ab, 4, 0, frozenset({2, 3}), (
