@@ -8,14 +8,15 @@ returns raw ``(src, dst, bits, pc)`` arcs, so a product converts nothing.
 operand built by ``interpret.prepare_parse_input``) first walks the query
 back through the first machine, and enters only the pairs that can still
 reach a pair of finals, so it comes out trim. A rejected query is
-settled by that walk alone, with no pair entered. The walk's steps are
-memoized on the machine (``Fsa.live_memo``), so a lexicon takes each step
-back once for all its queries. Any other open product enters a pair only
-if it is not a dead end: the labels leaving its two states overlap or both
-are final (``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs
-left from the raw lists returned. A closed product joins no two consumer
-arcs and enters only the pairs of ``live``, the set ``coreachable`` finds
-by walking back from the pairs of finals, so it comes out trim.
+settled by that walk alone, with no pair entered. Each step is memoized on
+the machine (``Fsa.live_memo``) with the live arcs of the states entered
+at it, so a lexicon walks each step back, and tests a state's arcs there,
+once for all its queries. Any other open product enters a pair only if it
+is not a dead end: the labels leaving its two states overlap or both are
+final (``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs
+left. A closed product joins no two consumer arcs and enters only the
+pairs of ``live``, the set ``coreachable`` finds by walking back from the
+pairs of finals, so it comes out trim.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def product(
 
     Open against a parse chain (``b`` carries its token labels), a pair
     (qa, i) is entered only if qa can still read the rest of the query
-    from chain state i (see ``_live_sets``). Every successor of a dead pair
+    from chain state i (see ``_live_sets``), through the memoized live
+    arcs of qa at i (``_chain_product``). Every successor of a dead pair
     is dead, so the live pairs are numbered and expanded, and their arcs
     emitted, in the order the unrestricted product gives them: the result
     is that product trimmed, and no pair at all is entered when no pair of
@@ -105,104 +107,98 @@ def _chain_product(
     """``product(a, chain)`` for the chain of these token labels: state i
     leaves by a consumer arc of ``labels[i]`` to i + 1, then by a consumer
     loop of every technical symbol. A pair (qa, i) is keyed qa * width + i.
+
+    The pairs are entered through the memo records of ``_live_sets``. The
+    moves of qa at i are its live arcs as ``(dst, advance, bits, pc)``: for
+    each out-arc in order, the token arc into S_(i+1), then the loop into
+    S_i. They are taken from ``out_raw`` the first time any parse enters
+    (qa, i) and replayed by every later one, so a pair costs one lookup.
     """
-    inc, lives = _live_sets(a, labels)
-    if lives is None:
+    steps = _live_sets(a, labels)
+    if steps is None:
         return 1, 0, [], [], 0
-    out_a, finals_a, tech, raw = a.out_raw(), a.finals, a.alphabet.tech, a.raw_arcs
+    out_a, finals_a, tech = a.out_raw(), a.finals, a.alphabet.tech
     last = len(labels)
     width = last + 1
-    start = a.start * width
-    pair_id: dict[int, int] = {start: 0}
-    todo = [start]
+    pair_id: dict[int, int] = {a.start * width: 0}
+    todo = [(a.start, 0, 0)]
     finals: list[int] = []
     arcs: list[tuple[int, int, int, bool]] = []
     while todo:
-        key = todo.pop()
-        qa, i = divmod(key, width)
-        sid = pair_id[key]
-        here = lives[i]
-        if i < last:
-            label, ahead = labels[i], lives[i + 1]
-        else:
-            label, ahead = 0, ()
-            if qa in finals_a:
-                finals.append(sid)
-        succ = out_a[qa]
-        if len(succ) > len(ahead) + len(here):
-            # fewer live states than arcs, as at a lexicon's start: take the
-            # arcs from qa into them, in out-arc order
-            succ = [raw[pos] for pos in sorted(
-                {pos for d in (*ahead, *here) for s, _b, pos in inc[d] if s == qa})]
-        for _s, da, ba, pa in succ:
-            # the chain's token arc, then its loop
-            bits = ba & label
-            if bits and da in ahead:
-                key = da * width + i + 1
-                tid = pair_id.get(key)
-                if tid is None:
-                    tid = pair_id[key] = len(pair_id)
-                    todo.append(key)
-                arcs.append((sid, tid, bits, pa))
-            bits = ba & tech
-            if bits and da in here:
-                key = da * width + i
-                tid = pair_id.get(key)
-                if tid is None:
-                    tid = pair_id[key] = len(pair_id)
-                    todo.append(key)
-                arcs.append((sid, tid, bits, pa))
+        qa, i, sid = todo.pop()
+        here, moves = steps[i]
+        succ = moves.get(qa)
+        if succ is None:
+            label, ahead = (labels[i], steps[i + 1][0]) if i < last else (0, ())
+            succ = []
+            for _s, da, ba, pa in out_a[qa]:
+                if ba & label and da in ahead:
+                    succ.append((da, True, ba & label, pa))
+                if ba & tech and da in here:
+                    succ.append((da, False, ba & tech, pa))
+            succ = moves[qa] = tuple(succ)
+        if i == last and qa in finals_a:
+            finals.append(sid)
+        for da, advance, bits, pa in succ:
+            j = i + advance
+            key = da * width + j
+            tid = pair_id.get(key)
+            if tid is None:
+                tid = pair_id[key] = len(pair_id)
+                todo.append((da, j, tid))
+            arcs.append((sid, tid, bits, pa))
     return len(pair_id), 0, finals, arcs, len(pair_id)
 
 
-def _live_sets(
-    a: Fsa, labels: list[int]
-) -> tuple[list[list[tuple[int, int, int]]], list[frozenset[int]] | None]:
-    """The in-adjacency of ``a``, by state its ``(src, bits, position)``
-    arcs, and per chain state i the set S_i of the states q of ``a`` from
-    which the pair (q, i) reaches a pair of finals; None for the sets when
-    the start pair cannot.
+def _live_sets(a: Fsa, labels: list[int]) -> list[tuple[frozenset[int], dict]] | None:
+    """Per chain state i the memo record of S_i, the set of the states q of
+    ``a`` from which the pair (q, i) reaches a pair of finals, with the
+    moves the forward pass has taken from them; None when the start pair
+    cannot.
 
     S_n (n tokens) is the states that reach a final of ``a`` over arcs
     that read a technical symbol, and S_i the states that reach, over such
     arcs, the source of an arc that reads token i's label and enters
     S_(i+1). The walk goes back from S_n and stops at the first empty set.
-    Each step is memoized in ``a.live_memo()`` under (S_(i+1), label), and
-    S_n under None with the in-adjacency the steps walk.
+    Each step's record is memoized in ``a.live_memo()`` under (S_(i+1),
+    label), and under None the in-adjacency the steps walk, the table that
+    keeps each distinct set once, the one record of every empty set, and
+    S_n's record.
     """
     memo = a.live_memo()
     tech = a.alphabet.tech
     base = memo.get(None)
     if base is None:
-        inc: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
-        for pos, (s, d, b, _pc) in enumerate(a.raw_arcs):
-            inc[d].append((s, b, pos))
-        base = memo[None] = inc, _back_closure(inc, set(a.finals), tech)
-    inc, live = base
-    lives = [live]
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(a.n)]
+        for s, d, b, _pc in a.raw_arcs:
+            inc[d].append((s, b))
+        live = _back_closure(inc, set(a.finals), tech)
+        dead = frozenset(), {}
+        base = memo[None] = inc, {live: live}, dead, (live, {}) if live else dead
+    inc, sets, dead, step = base
+    steps = [step]
     for label in reversed(labels):
-        key = (live, label)
+        if step is dead:
+            return None
+        key = (step[0], label)
         step = memo.get(key)
         if step is None:
-            step = memo[key] = _back_closure(
-                inc, {s for d in live for s, b, _pos in inc[d] if b & label}, tech)
-        if not step:
-            return inc, None
-        lives.append(step)
-        live = step
-    if a.start not in live:
-        return inc, None
-    lives.reverse()
-    return inc, lives
+            live = _back_closure(inc, {s for d in key[0] for s, b in inc[d] if b & label}, tech)
+            step = memo[key] = (sets.setdefault(live, live), {}) if live else dead
+        steps.append(step)
+    if a.start not in step[0]:
+        return None
+    steps.reverse()
+    return steps
 
 
-def _back_closure(inc: list[list[tuple[int, int, int]]], found: set[int],
+def _back_closure(inc: list[list[tuple[int, int]]], found: set[int],
                   tech: int) -> frozenset[int]:
     """``found`` with every state that reaches one of them over arcs that
     read a technical symbol."""
     todo = list(found)
     while todo:
-        for s, b, _pos in inc[todo.pop()]:
+        for s, b in inc[todo.pop()]:
             if b & tech and s not in found:
                 found.add(s)
                 todo.append(s)

@@ -258,10 +258,13 @@ class Alphabet(Frozen):
         """Split a surface string into inventory tokens by maximal munch.
 
         No token is a prefix of another (`from_inventory` checks), so at
-        most one token matches at an offset.
+        most one token matches at an offset, and a text of one-character
+        tokens is split into its characters.
         """
-        tokens: list[str] = []
         masks = self._char_mask
+        if all(map(masks.__contains__, text)):
+            return list(text)
+        tokens: list[str] = []
         i = 0
         while i < len(text):
             for size in self._token_lengths:

@@ -15,8 +15,9 @@ An open product (``_kernel.product``) reads two more caches of each
 machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
 it skip dead-end pairs, and ``live_memo``, filled by the products of parse
 chains against the machine, holds the sets of states that can still read
-each suffix of a query. A parse chain carries one mark, its token labels,
-which sends its product to that memo. A closed product reads none of them.
+each suffix of a query, and the live arcs of those states the products
+entered. A parse chain carries one mark, its token labels, which sends
+its product to that memo. A closed product reads none of them.
 None of the caches, nor the marks, takes part in equality, hashing,
 pickling or copies.
 Input is validated at the boundary only: the public constructor, the
@@ -202,12 +203,12 @@ class Fsa(Frozen):
         """The product kernel's memo of live sets, empty at first.
 
         A product against a parse chain (``_kernel.product``) fills it: its
-        backward walk keys each set of states that can still read a suffix
-        of a query by the set one token later and that token's label, and
-        keeps what every walk starts from under None. A machine parsed
-        against many times (a compiled lexicon) so walks each step back
-        once. Left out of equality, hashing, pickling and copies like the
-        adjacency.
+        backward walk keys the record of each set of states that can still
+        read a suffix of a query by the set one token later and that token's
+        label, and the forward pass adds the live arcs of each state it
+        enters there. What every walk starts from is under None. A lexicon
+        so walks each step back, and tests each arc there, once. Left out
+        of equality, hashing, pickling and copies like the adjacency.
         """
         memo = self._memo
         if memo is None:

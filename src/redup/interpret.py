@@ -72,7 +72,7 @@ class ProductStats:
 
 
 def _same_alphabet(a: Fsa, b: Fsa) -> None:
-    if a.alphabet != b.alphabet:
+    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
         raise AutomatonError("intersection over mismatched alphabets")
 
 

@@ -120,7 +120,9 @@ def ref_tokenize(tokens, text):
     return out
 
 
-@given(st.text(alphabet="kytsuhx", max_size=12))
+# any text over the tokens' characters, or a text of one-character tokens
+# only, which a draw of the first rarely gives
+@given(st.one_of(st.text(alphabet="kytsuhx", max_size=12), st.text(alphabet="suh", max_size=12)))
 def test_tokenize_matches_reference(text):
     tokens = ["ky", "tsh", "s", "u", "h"]
     al = Alphabet.from_inventory(

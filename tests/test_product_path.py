@@ -13,7 +13,8 @@ that built one.
 - A parse's product enters only live pairs, so it is trim as it comes and
   is not cut at all. ``ref_open_product`` below is the open product a
   parse ran before: pruned, it must equal the parse's product exactly on
-  2,000 seeded queries against the seed-1 400-stem Koasati wordform, and
+  2,000 seeded queries against the seed-1 400-stem Koasati wordform, in a
+  pass from a cold memo and again from the warm one, and
   `test_live_pairs` checks it further.
 - `interpret.prepare_parse_input` builds the chain's arcs and marks it
   with its token labels, and nothing else.
@@ -159,6 +160,14 @@ def ref_subset_construct(by_src, initial, accepting, atoms):
 # -- helpers ---------------------------------------------------------------------------
 
 
+def memo_records(m):
+    """Every record of `m`'s live memo: S_n's, the one of the empty sets,
+    and one per step."""
+    memo = m.live_memo()
+    _inc, _sets, dead, last = memo[None]
+    return [last, dead] + [record for key, record in memo.items() if key is not None]
+
+
 def identical(got, want):
     assert (got.n, got.start, got.finals, got.raw_arcs, got._trim) == (
         want.n, want.start, want.finals, want.raw_arcs, want._trim)
@@ -280,21 +289,30 @@ def test_every_lazy_materialization_of_a_shipped_entry_matches():
 
 def test_parses_of_seeded_queries_match():
     """2,000 queries, half forms and half near misses of them, against the
-    seed-1 400-stem wordform: each open product the reference's pruned,
-    none cut, each entering only the reference's live pairs, and each
-    verdict the oracle's."""
+    seed-1 400-stem wordform, in two passes: the first from a copy whose
+    memo starts cold, the second with that memo warm. Each open product is
+    the reference's pruned, none cut, each entering only the reference's
+    live pairs, and each verdict the oracle's. The memo keeps each
+    distinct live set as one object."""
     cg, m, accepted = lexicon(400)
+    m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     queries = koasati.queries(1, accepted, 2000)
-    stats, verdicts = ProductStats(), []
+    chains = [prepare_parse_input(cg.alphabet, q) for q in queries]
+    wants = [ref_pruned(cg.alphabet, *ref_open_product(m, chain)[:4]) for chain in chains]
+    assert m._memo is None
     with mock.patch.object(interpret, "pruned_from_raw", side_effect=AssertionError("cut")):
-        for q in queries:
-            chain = prepare_parse_input(cg.alphabet, q)
-            got = intersect_open(m, chain, stats)
-            identical(got, ref_pruned(cg.alphabet, *ref_open_product(m, chain)[:4]))
-            assert stats.per_call[-1] == (got.n if got.finals else 0)
-            verdicts.append(not is_empty(close(got)))
-    assert verdicts == [q in accepted for q in queries]
+        for _pass in range(2):
+            stats, verdicts = ProductStats(), []
+            for chain, want in zip(chains, wants):
+                got = intersect_open(m, chain, stats)
+                identical(got, want)
+                assert stats.per_call[-1] == (got.n if got.finals else 0)
+                verdicts.append(not is_empty(close(got)))
+            assert verdicts == [q in accepted for q in queries]
     assert 800 < sum(verdicts) < 1200
+    sets = [key[0] for key in m.live_memo() if key is not None]
+    sets += [live for live, _moves in memo_records(m)]
+    assert len({id(live) for live in sets}) == len(set(sets))
 
 
 def test_a_parse_builds_two_machines():
