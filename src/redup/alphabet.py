@@ -62,11 +62,14 @@ class Alphabet(Frozen):
     index layout — and therefore every bitmask — is stable for a given
     inventory declaration order.
 
-    Immutable, and equal by value (`_token_lengths` aside, which follows from
-    `_char_mask`); its dicts make it unhashable.
+    Immutable, and equal by value (`_token_lengths` and the stored masks
+    `sigma`, `seg`, `tech`, `repeat` and `skip` aside, which follow from
+    `_char_mask` and `_class_mask`, and the `_loops` cache); its dicts make
+    it unhashable.
     """
 
-    __slots__ = ("symbols", "chars", "_char_mask", "_class_mask", "_token_lengths")
+    __slots__ = ("symbols", "chars", "_char_mask", "_class_mask", "_token_lengths",
+                 "sigma", "seg", "tech", "repeat", "skip", "_loops")
 
     symbols: tuple[Symbol, ...]
     chars: tuple[str, ...]
@@ -74,6 +77,15 @@ class Alphabet(Frozen):
     _class_mask: dict[str, int]
     # distinct token lengths, longest first, for tokenize
     _token_lengths: tuple[int, ...]
+    sigma: int  # every symbol, technicals included
+    seg: int  # every segment symbol (no technicals)
+    tech: int  # repeat and skip
+    repeat: int
+    skip: int
+    # the technical loops of parse-chain states 0, 1, ..., as long as the
+    # longest chain built yet (`interpret.prepare_parse_input`); a copy
+    # starts empty
+    _loops: tuple[tuple[int, int, int, bool], ...]
 
     def __init__(
         self,
@@ -89,6 +101,12 @@ class Alphabet(Frozen):
         init(self, "_char_mask", _char_mask)
         init(self, "_class_mask", _class_mask)
         init(self, "_token_lengths", _token_lengths)
+        init(self, "sigma", _class_mask["sigma"])
+        init(self, "seg", _class_mask["seg"])
+        init(self, "repeat", _class_mask["repeat"])
+        init(self, "skip", _class_mask["skip"])
+        init(self, "tech", self.repeat | self.skip)
+        init(self, "_loops", ())
 
     def __eq__(self, other):
         if self is other:
@@ -194,28 +212,6 @@ class Alphabet(Frozen):
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def sigma(self) -> int:
-        """Every symbol, technicals included."""
-        return self._class_mask["sigma"]
-
-    @property
-    def seg(self) -> int:
-        """Every segment symbol (no technicals)."""
-        return self._class_mask["seg"]
-
-    @property
-    def tech(self) -> int:
-        return self._class_mask["repeat"] | self._class_mask["skip"]
-
-    @property
-    def repeat(self) -> int:
-        return self._class_mask["repeat"]
-
-    @property
-    def skip(self) -> int:
-        return self._class_mask["skip"]
-
     def char(self, token: str) -> int:
         """All attribute variants of one inventory token."""
         try:
@@ -254,16 +250,27 @@ class Alphabet(Frozen):
 
     # -- tokenization --------------------------------------------------------
 
+    def token_masks(self, text: str) -> list[int]:
+        """The mask of each token of `text`, in order: `char` of every token
+        `tokenize` splits it into, with the same `InventoryError`.
+
+        No token is a prefix of another (`from_inventory` checks), so when
+        every character is an inventory token, the characters are the only
+        split, and their masks are read in one pass.
+        """
+        masks = self._char_mask
+        try:
+            return list(map(masks.__getitem__, text))
+        except KeyError:
+            return list(map(masks.__getitem__, self.tokenize(text)))
+
     def tokenize(self, text: str) -> list[str]:
         """Split a surface string into inventory tokens by maximal munch.
 
         No token is a prefix of another (`from_inventory` checks), so at
-        most one token matches at an offset, and a text of one-character
-        tokens is split into its characters.
+        most one token matches at an offset.
         """
         masks = self._char_mask
-        if all(map(masks.__contains__, text)):
-            return list(text)
         tokens: list[str] = []
         i = 0
         while i < len(text):

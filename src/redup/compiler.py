@@ -151,9 +151,9 @@ def ignore_technicals(machine: Fsa) -> Fsa:
     without advancing the constraint.
     """
     al = machine.alphabet
-    seg = al.seg
+    seg, tech = al.seg, al.tech
     arcs = [(s, d, b & seg, pc) for s, d, b, pc in machine.raw_arcs if b & seg]
-    arcs.extend((q, q, al.tech, False) for q in range(machine.n))
+    arcs.extend((q, q, tech, False) for q in range(machine.n))
     return trim(Fsa.from_raw(al, machine.n, machine.start, machine.finals, tuple(arcs)))
 
 

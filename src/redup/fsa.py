@@ -64,7 +64,7 @@ without walking again.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -324,21 +324,27 @@ def build_from_string(
     token, optionally narrowed by a per-token mask from `attrs`. Raises
     InventoryError for tokens missing from the inventory.
     """
-    tokens = alphabet.tokenize(string) if isinstance(string, str) else list(string)
-    if attrs is not None and len(attrs) != len(tokens):
-        raise AutomatonError("attrs must align with the token sequence")
-    arcs = []
-    for i, tok in enumerate(tokens):
-        bits = alphabet.char(tok)
-        if attrs is not None and attrs[i] is not None:
-            bits &= attrs[i]
-            if bits == 0:
-                raise AutomatonError(
-                    f"attribute spec empties token {tok!r} at position {i}"
-                )
-        arcs.append((i, i + 1, bits, pc))
+    if isinstance(string, str):
+        labels = alphabet.token_masks(string)
+    else:
+        string = list(string)
+        labels = [alphabet._char_mask.get(tok, 0) for tok in string]
+    if attrs is not None:
+        if len(attrs) != len(labels):
+            raise AutomatonError("attrs must align with the token sequence")
+        labels = [bits if mask is None else bits & mask for bits, mask in zip(labels, attrs)]
+    if 0 in labels:  # the first unknown or emptied token
+        i = labels.index(0)
+        tok = (alphabet.tokenize(string) if isinstance(string, str) else string)[i]
+        alphabet.char(tok)  # raises for an unknown one
+        raise AutomatonError(f"attribute spec empties token {tok!r} at position {i}")
     # Every label is a non-empty subset of a token's mask: nothing to validate.
-    return _marked(Fsa.from_raw(alphabet, len(arcs) + 1, 0, frozenset({len(arcs)}), tuple(arcs)))
+    n = len(labels)
+    # through a list: a tuple read from an iterator is over-allocated, then
+    # shrunk, and the holes that leaves in the heap of a lexicon compile
+    # cost most of a megabyte of peak memory at 1,600 stems
+    arcs = tuple(list(zip(range(n), range(1, n + 1), labels, repeat(pc, n))))
+    return _marked(Fsa.from_raw(alphabet, n + 1, 0, frozenset({n}), arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,7 @@ def test_tokenize_matches_reference(text):
             al.tokenize(text)
     else:
         assert al.tokenize(text) == want
+        assert al.token_masks(text) == [al.char(t) for t in want]
 
 
 def test_tokenize_single_char(ab):
@@ -227,12 +228,18 @@ def test_alphabet_is_an_immutable_value(ab):
     fields = (ab.symbols, ab.chars, ab._char_mask, ab._class_mask)
     assert Alphabet(*fields, _token_lengths=()) == ab
     assert Alphabet(*fields, (1,)) == ab
+    # and so are the stored masks, which follow from the class masks
+    assert (ab.sigma, ab.seg, ab.repeat, ab.skip) == tuple(
+        ab.named_set(name) for name in ("sigma", "seg", "repeat", "skip"))
+    assert ab.tech == ab.repeat | ab.skip
     assert repr(ab) == f"Alphabet(symbols={ab.symbols!r}, chars={ab.chars!r})"
     with pytest.raises(TypeError):
         hash(ab)
 
 
-@pytest.mark.parametrize("field", ["symbols", "chars", "_char_mask", "_token_lengths", "other"])
+@pytest.mark.parametrize(
+    "field", ["symbols", "chars", "_char_mask", "_token_lengths", "tech", "sigma", "other"]
+)
 def test_alphabet_fields_cannot_be_assigned(ab, field):
     with pytest.raises(FrozenInstanceError):
         setattr(ab, field, None)
@@ -247,4 +254,6 @@ def test_alphabet_copies_and_pickles(ab, clone):
     twin = clone(ab)
     assert twin == ab and repr(twin) == repr(ab)
     assert twin._token_lengths == ab._token_lengths
+    masks = ("sigma", "seg", "tech", "repeat", "skip")
+    assert [getattr(twin, m) for m in masks] == [getattr(ab, m) for m in masks]
     assert twin.tokenize("abba") == ["a", "b", "b", "a"]
