@@ -62,10 +62,11 @@ class Alphabet(Frozen):
     index layout — and therefore every bitmask — is stable for a given
     inventory declaration order.
 
-    Immutable, and equal by value (`_token_lengths` and the stored masks
-    `sigma`, `seg`, `tech`, `repeat` and `skip` aside, which follow from
-    `_char_mask` and `_class_mask`, and the `_loops` cache); its dicts make
-    it unhashable.
+    Immutable, and equal by value; its dicts make it unhashable. The
+    constructor takes the four value fields and derives the rest:
+    `_token_lengths` from `_char_mask`, and the stored masks `sigma`, `seg`,
+    `tech`, `repeat` and `skip` from `_class_mask`. Those, and the `_loops`
+    cache, take no part in equality, and copies and pickles rebuild them.
     """
 
     __slots__ = ("symbols", "chars", "_char_mask", "_class_mask", "_token_lengths",
@@ -93,14 +94,13 @@ class Alphabet(Frozen):
         chars: tuple[str, ...],
         _char_mask: dict[str, int],
         _class_mask: dict[str, int],
-        _token_lengths: tuple[int, ...],
     ):
         init = object.__setattr__
         init(self, "symbols", symbols)
         init(self, "chars", chars)
         init(self, "_char_mask", _char_mask)
         init(self, "_class_mask", _class_mask)
-        init(self, "_token_lengths", _token_lengths)
+        init(self, "_token_lengths", tuple(sorted({len(t) for t in _char_mask}, reverse=True)))
         init(self, "sigma", _class_mask["sigma"])
         init(self, "seg", _class_mask["seg"])
         init(self, "repeat", _class_mask["repeat"])
@@ -123,9 +123,7 @@ class Alphabet(Frozen):
         return f"Alphabet(symbols={self.symbols!r}, chars={self.chars!r})"
 
     def __reduce__(self):
-        return Alphabet, (
-            self.symbols, self.chars, self._char_mask, self._class_mask, self._token_lengths
-        )
+        return Alphabet, (self.symbols, self.chars, self._char_mask, self._class_mask)
 
     # -- construction -------------------------------------------------------
 
@@ -203,7 +201,6 @@ class Alphabet(Frozen):
             chars=tuple(token for token, _c, _e in rows),
             _char_mask=char_mask,
             _class_mask=class_mask,
-            _token_lengths=tuple(sorted({len(t) for t in char_mask}, reverse=True)),
         )
 
     # -- handy masks ---------------------------------------------------------

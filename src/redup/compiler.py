@@ -56,6 +56,7 @@ from .fsa import (
     determinize,
     empty_string_fsa,
     never_fsa,
+    symbol_fsa,
     trim,
 )
 from .interpret import ProductStats, close, closing_order, intersect_open
@@ -108,15 +109,6 @@ def compile_rule(alphabet: Alphabet, subject: int, outcome: int, context: int) -
     return _marked(Fsa.from_raw(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs), check=True))
 
 
-def _symbol(al: Alphabet, bits: int, pc: bool) -> Fsa:
-    """One-symbol machine for a set built from the alphabet's own sets.
-
-    The evaluator rejects empty sets before calling this, and every set it
-    builds lies inside sigma, so the machine needs no validation.
-    """
-    return _marked(Fsa.from_raw(al, 2, 0, frozenset({1}), ((0, 1, bits, pc),)))
-
-
 def _retyped(machine: Fsa, pc: bool) -> Fsa:
     """The same machine, as trim, with every arc made producer (pc) or consumer."""
     arcs = tuple((s, d, b, pc) for s, d, b, _pc in machine.raw_arcs)
@@ -128,7 +120,7 @@ def not_contains(machine: Fsa) -> Fsa:
     """All strings with no factor in the given language (a consuming filter)."""
     al = machine.alphabet
     blind = _retyped(machine, False)
-    anything = combine("star", [_symbol(al, al.sigma, False)])
+    anything = combine("star", [symbol_fsa(al, al.sigma)])
     matcher = determinize(combine("concat", [anything, blind, anything]))
     # complete the DFA with a sink, then swap finals
     sink = matcher.n
@@ -243,7 +235,7 @@ class _Evaluator:
         if isinstance(v, int):
             if not v:
                 raise CompileError("empty symbol set used as an automaton")
-            return _symbol(self.al, v, False)
+            return symbol_fsa(self.al, v)
         if isinstance(v, Fsa):
             return v
         from .lazy import materialize
@@ -375,7 +367,7 @@ class _Evaluator:
             if isinstance(v, int):
                 if not v:
                     raise CompileError(f"{name}() of an empty symbol set")
-                return _symbol(self.al, v, pc)
+                return symbol_fsa(self.al, v, pc)
             return _retyped(self.machine(v), pc)
         if name in _ENRICH_FN:
             # a machine with no finals accepts nothing enriched or not: a

@@ -10,7 +10,8 @@ An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
 ``raw_arcs`` and caches its out-adjacency the first time an operation asks
 for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
 ``compiler`` works on that form directly. ``arcs`` is a view of the same
-arcs as ``Arc(src, Label(bits, pc), dst)`` values, built on first access.
+arcs as ``Arc(src, Label(bits, pc), dst)`` values, built anew on each read
+and not stored.
 An open product (``_kernel.product``) reads two more caches of each
 machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
 it skip dead-end pairs, and ``live_memo``, filled by the products of parse
@@ -19,7 +20,7 @@ each suffix of a query, and the live arcs of those states the products
 entered. A parse chain carries one mark, its token labels, which sends
 its product to that memo. A closed product reads none of them.
 None of the caches, nor the marks, takes part in equality, hashing,
-pickling or copies.
+pickling or copies, and the hash itself is not cached.
 Input is validated at the boundary only: the public constructor, the
 builders and the grammar compiler. Internal operations build their results
 with the unchecked ``Fsa.from_raw``, which sets each slot by a setter bound
@@ -44,7 +45,7 @@ the subset constructions of ``determinize`` and ``minimize`` (run on trim
 machines, every subset is reached and reaches a final), ``canonical``'s
 renumbering of a marked minimal machine, the closed product of
 ``interpret.close``, a parse's product (it enters only live pairs) and
-the compiler's symbol and rule machines. Enriching or retyping arcs keeps
+the compiler's rule machines. Enriching or retyping arcs keeps
 every state live, and so keeps the operand's mark.
 
 No operation builds epsilon edges. Where concatenation, union, star or
@@ -95,7 +96,7 @@ class Fsa(Frozen):
 
     __slots__ = (
         "alphabet", "n", "start", "finals", "raw_arcs",
-        "_arcs", "_out", "_bits", "_memo", "_tokens", "_trim", "_hash",
+        "_out", "_bits", "_memo", "_tokens", "_trim",
     )
 
     def __init__(
@@ -107,14 +108,13 @@ class Fsa(Frozen):
         arcs: Iterable[Arc],
     ):
         try:
-            arcs = tuple(arcs)
             raw = tuple((a.src, a.dst, a.label.bits, a.label.pc) for a in arcs)
             finals = frozenset(finals)
         except (AttributeError, TypeError):
             raise AutomatonError(
                 "finals must be a set of states and arcs Arc(src, Label(bits, pc), dst)"
             ) from None
-        _init(self, alphabet, n, start, finals, raw, arcs)
+        _init(self, alphabet, n, start, finals, raw)
         self.__post_init__()
 
     @staticmethod
@@ -128,7 +128,7 @@ class Fsa(Frozen):
     ) -> "Fsa":
         """Build from raw arcs; validated only with `check` (for builders)."""
         m = object.__new__(Fsa)
-        _init(m, alphabet, n, start, finals, raw_arcs, None)
+        _init(m, alphabet, n, start, finals, raw_arcs)
         if check:
             m.__post_init__()
         return m
@@ -164,12 +164,8 @@ class Fsa(Frozen):
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
-        """The arcs as Arc values, in construction order (built once)."""
-        arcs = self._arcs
-        if arcs is None:
-            arcs = tuple(Arc(s, Label(b, pc), d) for s, d, b, pc in self.raw_arcs)
-            _set_arcs(self, arcs)
-        return arcs
+        """The arcs as Arc values, in construction order, built on each read."""
+        return tuple(Arc(s, Label(b, pc), d) for s, d, b, pc in self.raw_arcs)
 
     def out_raw(self) -> list[list[RawArc]]:
         """Per state, the raw arcs leaving it, in arc order.
@@ -231,11 +227,7 @@ class Fsa(Frozen):
 
     def __hash__(self):
         # The alphabet holds dicts and is left out; equal machines share it.
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.start, self.finals, self.raw_arcs))
-            _set_hash(self, h)
-        return h
+        return hash((self.n, self.start, self.finals, self.raw_arcs))
 
     def __reduce__(self):
         return Fsa.from_raw, (self.alphabet, self.n, self.start, self.finals, self.raw_arcs)
@@ -266,24 +258,22 @@ class Fsa(Frozen):
 
 
 # each slot's setter, bound once: a write skips `object.__setattr__`'s lookup
-(_set_alphabet, _set_n, _set_start, _set_finals, _set_raw_arcs, _set_arcs, _set_out,
- _set_bits, _set_memo, _set_tokens, _set_trim, _set_hash) = (
+(_set_alphabet, _set_n, _set_start, _set_finals, _set_raw_arcs, _set_out,
+ _set_bits, _set_memo, _set_tokens, _set_trim) = (
     getattr(Fsa, slot).__set__ for slot in Fsa.__slots__)
 
 
-def _init(m: Fsa, alphabet, n, start, finals, raw_arcs, arcs) -> None:
+def _init(m: Fsa, alphabet, n, start, finals, raw_arcs) -> None:
     _set_alphabet(m, alphabet)
     _set_n(m, n)
     _set_start(m, start)
     _set_finals(m, finals)
     _set_raw_arcs(m, raw_arcs)
-    _set_arcs(m, arcs)
     _set_out(m, None)
     _set_bits(m, None)
     _set_memo(m, None)
     _set_tokens(m, None)
     _set_trim(m, False)
-    _set_hash(m, None)
 
 
 def _marked(m: Fsa, mark: bool = True) -> Fsa:

@@ -224,10 +224,10 @@ def test_alphabet_is_an_immutable_value(ab):
     assert ab != Alphabet.from_inventory([("a", "vowel", ()), ("c", "consonant", ())])
     assert ab != Alphabet.from_inventory(AB_ROWS[::-1])
     assert (ab == "ab") is False
-    # the token-length cache follows from the inventory and is left out
+    # the token lengths follow from the inventory and are derived, not passed
     fields = (ab.symbols, ab.chars, ab._char_mask, ab._class_mask)
-    assert Alphabet(*fields, _token_lengths=()) == ab
-    assert Alphabet(*fields, (1,)) == ab
+    rebuilt = Alphabet(*fields)
+    assert rebuilt == ab and rebuilt._token_lengths == ab._token_lengths
     # and so are the stored masks, which follow from the class masks
     assert (ab.sigma, ab.seg, ab.repeat, ab.skip) == tuple(
         ab.named_set(name) for name in ("sigma", "seg", "repeat", "skip"))

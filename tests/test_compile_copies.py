@@ -38,6 +38,7 @@ from redup.analyses import GRAMMAR_NAMES, load_grammar
 from redup.compiler import compile_grammar
 from redup.enrich import enrich
 from redup.fsa import (
+    Arc,
     Fsa,
     Label,
     build_from_string,
@@ -266,8 +267,8 @@ def test_construction_writes_every_slot_through_its_bound_setter(ab):
         spies = [stack.enter_context(mock.patch.object(fsa, name, wraps=getattr(fsa, name)))
                  for name in names]
         m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, ab.char("a"), True),), check=True)
-        assert Fsa(ab, 2, 0, {1}, m.arcs) == m  # `arcs` fills m's `_arcs` cache
-    assert [spy.call_count for spy in spies] == [2] * 5 + [3] + [2] * 6
+        assert Fsa(ab, 2, 0, {1}, m.arcs) == m
+    assert [spy.call_count for spy in spies] == [2] * 10
 
 
 @pytest.mark.parametrize("slot", Fsa.__slots__)
@@ -285,12 +286,35 @@ def test_every_slot_is_frozen_and_set_fresh(ab, slot):
 def test_copies_pickles_and_equals_get_fresh_caches():
     m = wordform(400)[0]
     close(m)  # marked trim: returned as it is
-    m.out_raw(), m.out_bits(), m.arcs, hash(m)
+    m.out_raw(), m.out_bits()
     intersect_open(m, prepare_parse_input(m.alphabet, "lapatlin"))  # fills the live memo
-    assert m._trim and m._out is not None and m._memo and m._hash is not None
+    assert m._trim and m._out is not None and m._bits is not None and m._memo
     fresh = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     assert fresh == m and hash(fresh) == hash(m) and not fresh._trim
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), fresh):
         assert twin == m and hash(twin) == hash(m) and twin is not m
-        assert (twin._arcs, twin._out, twin._bits, twin._memo, twin._tokens, twin._trim) == (
-            None, None, None, None, None, False)
+        assert twin.arcs == m.arcs
+        assert (twin._out, twin._bits, twin._memo, twin._tokens, twin._trim) == (
+            None, None, None, None, False)
+
+
+def test_the_arcs_view_is_built_from_raw_arcs_on_each_read(ab):
+    a, b = ab.char("a"), ab.char("b")
+    arcs = [Arc(0, Label(a, True), 1), Arc(1, Label(b, False), 1)]
+    m = Fsa(ab, 2, 0, {1}, iter(arcs))  # a one-shot iterable is read once
+    assert m.raw_arcs == ((0, 1, a, True), (1, 1, b, False))
+    assert m.arcs == tuple(arcs) and m.arcs is not m.arcs
+    assert all(type(arc) is Arc and type(arc.label) is Label for arc in m.arcs)
+    # reading the view stores nothing: every cache keeps its fresh value
+    assert (m._out, m._bits, m._memo, m._tokens, m._trim) == (None, None, None, None, False)
+
+
+def test_the_hash_is_computed_from_the_raw_value_each_time(ab):
+    raw = ((0, 1, ab.char("a"), True), (1, 1, ab.char("b"), False))
+    m = Fsa.from_raw(ab, 2, 0, frozenset({1}), raw)
+    public = Fsa(ab, 2, 0, {1}, m.arcs)
+    assert hash(m) == hash(public) == hash((2, 0, frozenset({1}), raw))
+    before = [getattr(m, slot) for slot in Fsa.__slots__]
+    assert hash(m) == hash(m)
+    assert [getattr(m, slot) for slot in Fsa.__slots__] == before
+    assert len({m, public, Fsa.from_raw(ab, 2, 0, frozenset({1}), raw[:1])}) == 2
