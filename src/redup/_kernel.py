@@ -8,22 +8,32 @@ returns raw ``(src, dst, bits, pc)`` arcs, so a product converts nothing.
 operand built by ``interpret.prepare_parse_input``) first walks the query
 back through the first machine, and enters only the pairs that can still
 reach a pair of finals, so it comes out trim. A rejected query is
-settled by that walk alone, with no pair entered. Each step is memoized on
-the machine (``Fsa.live_memo``) with the live arcs of the states entered
-at it, so a lexicon walks each step back, and tests a state's arcs there,
-once for all its queries. Any other open product enters a pair only if it
-is not a dead end: the labels leaving its two states overlap or both are
-final (``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs
-left. A closed product joins no two consumer arcs and enters only the
-pairs of ``live``, the set ``coreachable`` finds by walking back from the
-pairs of finals, so it comes out trim.
+settled by that walk alone, with no pair entered, and its product is the
+one canonical empty machine the lexicon keeps (``empty_product``). Each
+step is memoized on the machine (``Fsa.live_memo``) with the live arcs of
+the states entered at it, so a lexicon walks each step back, and tests a
+state's arcs there, once for all its queries. The memo, lazy reverse
+determinization with caching in the sense of Mohri, Pereira & Riley 2000,
+also keeps each accepted product's raw parts by the query's token labels,
+up to ``_PARSE_TABLE_ARCS`` arcs in all, so a query the lexicon has
+accepted before runs neither the walk nor the forward pass. Any other open product enters a pair only if it is not a dead end:
+the labels leaving its two states overlap or both are final
+(``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs left. A
+closed product joins no two consumer arcs and enters only the pairs of
+``live``, the set ``coreachable`` finds by walking back from the pairs of
+finals, so it comes out trim.
 """
 
 from __future__ import annotations
 
-from .fsa import Fsa, RawArc
+from .fsa import Fsa, RawArc, never_fsa
 
 BACKEND = "py"
+
+# The most arcs the accepted parse products a lexicon keeps may hold in
+# all; the oldest go first when a new one needs room, and a larger product
+# is not kept. The seed-1 `perfbench` pool keeps about 14,200.
+_PARSE_TABLE_ARCS = 1 << 16
 
 
 def product(
@@ -44,7 +54,10 @@ def product(
     is dead, so the live pairs are numbered and expanded, and their arcs
     emitted, in the order the unrestricted product gives them: the result
     is that product trimmed, and no pair at all is entered when no pair of
-    finals is reached (the result then is ``(1, 0, [], [], 0)``).
+    finals is reached (the result then is ``(1, 0, [], [], 0)``). An
+    accepted product comes with its finals as a frozenset and its arcs as
+    a tuple, kept in the memo: a later query of the same token labels gets
+    those same objects, and the same pair count, without a walk.
 
     Any other open product (``live`` None) enters a new pair (qa, qb) only
     if it is not a dead end: the labels leaving its two states overlap or
@@ -103,17 +116,26 @@ def product(
 
 def _chain_product(
     a: Fsa, labels: list[int]
-) -> tuple[int, int, list[int], list[tuple[int, int, int, bool]], int]:
+) -> tuple[int, int, list[int] | frozenset[int], list | tuple, int]:
     """``product(a, chain)`` for the chain of these token labels: state i
     leaves by a consumer arc of ``labels[i]`` to i + 1, then by a consumer
     loop of every technical symbol. A pair (qa, i) is keyed qa * width + i.
 
-    The pairs are entered through the memo records of ``_live_sets``. The
+    A query whose product the memo keeps returns it as it was kept. Any
+    other enters its pairs through the memo records of ``_live_sets``. The
     moves of qa at i are its live arcs as ``(dst, advance, bits, pc)``: for
     each out-arc in order, the token arc into S_(i+1), then the loop into
     S_i. They are taken from ``out_raw`` the first time any parse enters
     (qa, i) and replayed by every later one, so a pair costs one lookup.
+    The product is then kept (``_keep_parse``).
     """
+    memo = a.live_memo()
+    parses = (memo.get(None) or _first_record(a, memo))[4]
+    query = tuple(labels)
+    kept = parses.get(query)
+    if kept is not None:
+        n, finals, arcs = kept
+        return n, 0, finals, arcs, n
     steps = _live_sets(a, labels)
     if steps is None:
         return 1, 0, [], [], 0
@@ -147,7 +169,44 @@ def _chain_product(
                 tid = pair_id[key] = len(pair_id)
                 todo.append((da, j, tid))
             arcs.append((sid, tid, bits, pa))
-    return len(pair_id), 0, finals, arcs, len(pair_id)
+    n = len(pair_id)
+    kept = n, frozenset(finals), tuple(arcs)
+    _keep_parse(parses, query, kept)
+    return n, 0, kept[1], kept[2], n
+
+
+class _Parses(dict):
+    """A lexicon's accepted parse products as ``(n, finals, arcs)``, by the
+    token labels of their queries, oldest first; ``arcs`` counts the arcs
+    they hold."""
+
+    __slots__ = ("arcs",)
+
+    def __init__(self):
+        self.arcs = 0
+
+
+def _keep_parse(parses: _Parses, query: tuple[int, ...], kept: tuple) -> None:
+    """Keep an accepted product in the table, dropping the oldest ones
+    while the table would hold more than ``_PARSE_TABLE_ARCS`` arcs, as
+    ``re`` drops its oldest patterns; a product larger than that is not
+    kept. An accepted product of a query of k tokens has at least k arcs,
+    so only the empty query's can be kept at no cost."""
+    size = len(kept[2])
+    if size > _PARSE_TABLE_ARCS:
+        return
+    parses.arcs += size
+    while parses.arcs > _PARSE_TABLE_ARCS:
+        parses.arcs -= len(parses.pop(next(iter(parses)))[2])
+    parses[query] = kept
+
+
+def empty_product(a: Fsa) -> Fsa:
+    """The canonical empty machine ``a``'s memo keeps: the product of every
+    parse chain that ``a`` rejects, one machine for all of them. It is
+    never marked trim, and nothing writes to it but its own caches."""
+    memo = a.live_memo()
+    return (memo.get(None) or _first_record(a, memo))[5]
 
 
 def _live_sets(a: Fsa, labels: list[int]) -> list[tuple[frozenset[int], dict]] | None:
@@ -161,21 +220,12 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[tuple[frozenset[int], dict]] |
     arcs, the source of an arc that reads token i's label and enters
     S_(i+1). The walk goes back from S_n and stops at the first empty set.
     Each step's record is memoized in ``a.live_memo()`` under (S_(i+1),
-    label), and under None the in-adjacency the steps walk, the table that
-    keeps each distinct set once, the one record of every empty set, and
-    S_n's record.
+    label); what every walk starts from is under None
+    (``_first_record``).
     """
     memo = a.live_memo()
     tech = a.alphabet.tech
-    base = memo.get(None)
-    if base is None:
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(a.n)]
-        for s, d, b, _pc in a.raw_arcs:
-            inc[d].append((s, b))
-        live = _back_closure(inc, set(a.finals), tech)
-        dead = frozenset(), {}
-        base = memo[None] = inc, {live: live}, dead, (live, {}) if live else dead
-    inc, sets, dead, step = base
+    inc, sets, dead, step, _parses, _empty = memo.get(None) or _first_record(a, memo)
     steps = [step]
     for label in reversed(labels):
         if step is dead:
@@ -190,6 +240,22 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[tuple[frozenset[int], dict]] |
         return None
     steps.reverse()
     return steps
+
+
+def _first_record(a: Fsa, memo: dict) -> tuple:
+    """The record under None of ``a``'s live memo, built by the first parse
+    against ``a``: the in-adjacency the steps walk, the table that keeps
+    each distinct set once, the one record of every empty set, S_n's
+    record, the table of accepted products (``_Parses``) and the canonical
+    empty machine of every rejected query."""
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(a.n)]
+    for s, d, b, _pc in a.raw_arcs:
+        inc[d].append((s, b))
+    live = _back_closure(inc, set(a.finals), a.alphabet.tech)
+    dead = frozenset(), {}
+    memo[None] = record = (inc, {live: live}, dead, (live, {}) if live else dead,
+                           _Parses(), never_fsa(a.alphabet))
+    return record
 
 
 def _back_closure(inc: list[list[tuple[int, int]]], found: set[int],

@@ -16,8 +16,10 @@ An open product (``_kernel.product``) reads two more caches of each
 machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
 it skip dead-end pairs, and ``live_memo``, filled by the products of parse
 chains against the machine, holds the sets of states that can still read
-each suffix of a query, and the live arcs of those states the products
-entered. A parse chain carries one mark, its token labels, which sends
+each suffix of a query, the live arcs of those states the products
+entered, the raw parts of the accepted products themselves, up to a
+fixed number of arcs, and the one empty machine every rejected parse
+returns. A parse chain carries one mark, its token labels, which sends
 its product to that memo. A closed product reads none of them.
 None of the caches, nor the marks, takes part in equality, hashing,
 pickling or copies, and the hash itself is not cached.
@@ -202,9 +204,12 @@ class Fsa(Frozen):
         backward walk keys the record of each set of states that can still
         read a suffix of a query by the set one token later and that token's
         label, and the forward pass adds the live arcs of each state it
-        enters there. What every walk starts from is under None. A lexicon
-        so walks each step back, and tests each arc there, once. Left out
-        of equality, hashing, pickling and copies like the adjacency.
+        enters there. What every walk starts from is under None, beside the
+        raw parts of each accepted product, by its query's token labels, and
+        the empty machine of every rejected one. A lexicon so walks each
+        step back, and tests each arc there, once, and a query it has
+        accepted before runs neither. Left out of equality, hashing,
+        pickling and copies like the adjacency.
         """
         memo = self._memo
         if memo is None:

@@ -32,7 +32,9 @@ class ProductStats:
 
     `per_call` holds one count per product: for an open product the pairs
     it entered: for a parse (a product against a parse chain) the live
-    pairs only, so 0 for a query its backward walk rejects, and for any
+    pairs only, so 0 for a query its backward walk rejects, the same count
+    again for a query whose product the machine kept from an earlier
+    parse (though it enters none), and for any
     other all but the dead-end pairs it skips (see `_kernel.product`); for
     a closed product the pairs its backward walk found.  Passed to
     `CompiledGrammar.compile`, it sees each product the compile runs, the
@@ -82,11 +84,15 @@ def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
 
     The product skips dead-end pairs, and against a parse chain every pair
     that cannot reach a pair of finals (see `_kernel.product`); `stats`
-    counts only the pairs it enters.  The result is the only machine built:
-    the trim product, or the canonical empty machine when no pair of
-    finals is reached.  A product against a parse chain is trim as it
-    comes; the others' raw arcs are trimmed as they are
-    (`fsa.pruned_from_raw`).
+    counts only the pairs it enters, or for a parse `a` has accepted before
+    the pairs its product entered then.  The result is the only machine
+    built: the trim product, or the canonical empty machine when no pair
+    of finals is reached.  A product against a parse chain is trim as it
+    comes, and is a new machine built from the raw parts `a` keeps of it
+    (`frozenset` and `tuple` of them copy nothing); a rejected parse
+    builds none, and returns the one empty machine `a` keeps for them
+    (`_kernel.empty_product`).  The other products' raw arcs are trimmed
+    as they are (`fsa.pruned_from_raw`).
     """
     _same_alphabet(a, b)
     n, start, finals, arcs, visited = _kernel.product(a, b)
@@ -95,7 +101,7 @@ def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     if b._tokens is None:
         return pruned_from_raw(a.alphabet, n, start, finals, arcs)
     if not finals:
-        return never_fsa(a.alphabet)
+        return _kernel.empty_product(a)
     return _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
 
 

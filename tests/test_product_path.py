@@ -24,8 +24,8 @@ that built one.
 - The evaluator returns an enrichment's operand as it is when the operand
   has no finals, so a rejected Koasati stem costs no enrichment.
 
-A parse then builds exactly two machines, and a 400-stem compile fewer
-than 1,950. The hypothesis tests here set no example count of their own,
+A parse then builds exactly two machines when accepted and only the
+chain when rejected, and a 400-stem compile fewer than 1,950. The hypothesis tests here set no example count of their own,
 so a profile registered in ``conftest.py`` can run them longer.
 """
 
@@ -162,9 +162,11 @@ def ref_subset_construct(by_src, initial, accepting, atoms):
 
 def memo_records(m):
     """Every record of `m`'s live memo: S_n's, the one of the empty sets,
-    and one per step."""
+    and one per step. The record under None also holds the in-adjacency,
+    the table of distinct sets, the kept accepted products and the empty
+    machine of rejected ones, which are no step records."""
     memo = m.live_memo()
-    _inc, _sets, dead, last = memo[None]
+    _inc, _sets, dead, last, _parses, _empty = memo[None]
     return [last, dead] + [record for key, record in memo.items() if key is not None]
 
 
@@ -290,17 +292,20 @@ def test_every_lazy_materialization_of_a_shipped_entry_matches():
 def test_parses_of_seeded_queries_match():
     """2,000 queries, half forms and half near misses of them, against the
     seed-1 400-stem wordform, in two passes: the first from a copy whose
-    memo starts cold, the second with that memo warm. Each open product is
-    the reference's pruned, none cut, each entering only the reference's
-    live pairs, and each verdict the oracle's. The memo keeps each
-    distinct live set as one object."""
+    memo starts cold, the second with that memo warm. No accepted product
+    is kept, so every query walks back and replays its moves
+    (`test_parse_table` checks the kept ones). Each open product is the
+    reference's pruned, none cut, each entering only the reference's live
+    pairs, and each verdict the oracle's. The memo keeps each distinct
+    live set as one object."""
     cg, m, accepted = lexicon(400)
     m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     queries = koasati.queries(1, accepted, 2000)
     chains = [prepare_parse_input(cg.alphabet, q) for q in queries]
     wants = [ref_pruned(cg.alphabet, *ref_open_product(m, chain)[:4]) for chain in chains]
     assert m._memo is None
-    with mock.patch.object(interpret, "pruned_from_raw", side_effect=AssertionError("cut")):
+    with mock.patch.object(interpret, "pruned_from_raw", side_effect=AssertionError("cut")), \
+            mock.patch.object(_kernel, "_keep_parse"):
         for _pass in range(2):
             stats, verdicts = ProductStats(), []
             for chain, want in zip(chains, wants):
@@ -316,15 +321,24 @@ def test_parses_of_seeded_queries_match():
 
 
 def test_a_parse_builds_two_machines():
-    """The chain and the trim product, or the chain and the canonical empty
-    machine: nothing else, accepted or rejected."""
+    """The chain and the trim product when accepted, and the chain alone
+    when rejected: every rejected parse returns the one canonical empty
+    machine of the lexicon's memo, built with the memo's first record."""
     cg, m, accepted = lexicon(400)
     queries = koasati.queries(5, accepted, 200)
+    intersect_open(m, prepare_parse_input(cg.alphabet, queries[0]))
+    empties = set()
     for q in queries:
         patch, built = counting_constructions()
         with patch:
-            is_empty(close(intersect_open(m, prepare_parse_input(cg.alphabet, q))))
-        assert len(built) == 2, q
+            got = intersect_open(m, prepare_parse_input(cg.alphabet, q))
+            is_empty(close(got))
+        if q in accepted:
+            assert len(built) == 2, q
+        else:
+            assert len(built) == 1 and got == never_fsa(cg.alphabet), q
+            empties.add(id(got))
+    assert len(empties) == 1
 
 
 def test_a_lexicon_compile_builds_fewer_machines():
