@@ -65,12 +65,12 @@ class Alphabet(Frozen):
     Immutable, and equal by value; its dicts make it unhashable. The
     constructor takes the four value fields and derives the rest:
     `_token_lengths` from `_char_mask`, and the stored masks `sigma`, `seg`,
-    `tech`, `repeat` and `skip` from `_class_mask`. Those, and the `_loops`
-    cache, take no part in equality, and copies and pickles rebuild them.
+    `tech`, `repeat` and `skip` from `_class_mask`. Those take no part in
+    equality, and copies and pickles rebuild them.
     """
 
     __slots__ = ("symbols", "chars", "_char_mask", "_class_mask", "_token_lengths",
-                 "sigma", "seg", "tech", "repeat", "skip", "_loops")
+                 "sigma", "seg", "tech", "repeat", "skip")
 
     symbols: tuple[Symbol, ...]
     chars: tuple[str, ...]
@@ -83,10 +83,6 @@ class Alphabet(Frozen):
     tech: int  # repeat and skip
     repeat: int
     skip: int
-    # the technical loops of parse-chain states 0, 1, ..., as long as the
-    # longest chain built yet (`interpret.prepare_parse_input`); a copy
-    # starts empty
-    _loops: tuple[tuple[int, int, int, bool], ...]
 
     def __init__(
         self,
@@ -106,7 +102,6 @@ class Alphabet(Frozen):
         init(self, "repeat", _class_mask["repeat"])
         init(self, "skip", _class_mask["skip"])
         init(self, "tech", self.repeat | self.skip)
-        init(self, "_loops", ())
 
     def __eq__(self, other):
         if self is other:

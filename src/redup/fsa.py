@@ -6,12 +6,14 @@ structural operations — determinization and minimization never merge a
 producer arc with a consumer arc, which is what keeps resource accounting
 intact through normalization.
 
-An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples in
-``raw_arcs`` and caches its out-adjacency the first time an operation asks
-for it (``out_raw``). Every operation here, in ``interpret``, ``enrich`` and
-``compiler`` works on that form directly. ``arcs`` is a view of the same
-arcs as ``Arc(src, Label(bits, pc), dst)`` values, built anew on each read
-and not stored.
+An Fsa stores its arcs as raw ``(src, dst, bits, pc)`` tuples, read as
+``raw_arcs``, and caches its out-adjacency the first time an operation asks
+for it (``out_raw``). A parse chain is built without arcs: ``raw_arcs``
+makes them from its token labels on first read and stores them, so every
+later read returns the same tuple. Every operation here, in ``interpret``,
+``enrich`` and ``compiler`` works on the raw form directly. ``arcs`` is a
+view of the same arcs as ``Arc(src, Label(bits, pc), dst)`` values, built
+anew on each read and not stored.
 An open product (``_kernel.product``) reads two more caches of each
 machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
 it skip dead-end pairs, and ``live_memo``, filled by the products of parse
@@ -97,7 +99,7 @@ class Fsa(Frozen):
     """
 
     __slots__ = (
-        "alphabet", "n", "start", "finals", "raw_arcs",
+        "alphabet", "n", "start", "finals", "_raw_arcs",
         "_out", "_bits", "_memo", "_tokens", "_trim",
     )
 
@@ -125,10 +127,14 @@ class Fsa(Frozen):
         n: int,
         start: int,
         finals: frozenset[int],
-        raw_arcs: tuple[RawArc, ...],
+        raw_arcs: tuple[RawArc, ...] | None,
         check: bool = False,
     ) -> "Fsa":
-        """Build from raw arcs; validated only with `check` (for builders)."""
+        """Build from raw arcs; validated only with `check` (for builders).
+
+        `raw_arcs` is None only for a parse chain, marked with its token
+        labels at once (`interpret.prepare_parse_input`).
+        """
         m = object.__new__(Fsa)
         _init(m, alphabet, n, start, finals, raw_arcs)
         if check:
@@ -163,6 +169,21 @@ class Fsa(Frozen):
                 )
             if bits & ~sigma:
                 raise AutomatonError("arc label uses symbols outside the alphabet")
+
+    @property
+    def raw_arcs(self) -> tuple[RawArc, ...]:
+        """The arcs as raw tuples, in construction order.
+
+        A parse chain's are made on first read, and stored: one token arc
+        per label, then one technical loop per state.
+        """
+        arcs = self._raw_arcs
+        if arcs is None:
+            tech = self.alphabet.tech
+            arcs = tuple([(i, i + 1, b, False) for i, b in enumerate(self._tokens)]
+                         + [(i, i, tech, False) for i in range(self.n)])
+            _set_raw_arcs(self, arcs)
+        return arcs
 
     @property
     def arcs(self) -> tuple[Arc, ...]:

@@ -12,7 +12,6 @@ final pair can still be reached.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -180,34 +179,15 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     A consumer-typed chain — every surface segment demands a lexical producer
     — underspecified for all attributes, with a consumer {repeat, skip} self
     loop on each state so the grammar's technical arcs can surface anywhere.
-    An unknown token raises `InventoryError`.  Every label comes from the
-    alphabet itself, so the chain is built without validation.  It is
-    marked with its token labels, which is all a product against it reads
-    (`_kernel.product`); the mark, like a cache, takes no part in equality,
-    hashing, pickling or copies.
-
-    A parse's time is this fixed set-up plus the pairs its product enters,
-    and a cheap query enters few, so the chain runs no bytecode per arc:
-    the labels are read in one pass (`Alphabet.token_masks`), the token
-    arcs zipped, and the loops sliced from one tuple the alphabet keeps
-    (`_loop_arcs`), so every chain shares them.
+    An unknown token raises `InventoryError`.  It is marked with its token
+    labels, read in one pass (`Alphabet.token_masks`), which is all a
+    product against it reads (`_kernel.product`); the mark, like a cache,
+    takes no part in equality, hashing, pickling or copies.  So the chain
+    is built without arcs: `Fsa.raw_arcs` makes them from the labels when
+    something first reads them, which a parse never does.
     """
     labels = alphabet.token_masks(string)
     n = len(labels)
-    tokens = zip(range(n), range(1, n + 1), labels, repeat(False, n))
-    m = Fsa.from_raw(alphabet, n + 1, 0, frozenset((n,)),
-                     tuple(tokens) + _loop_arcs(alphabet, n + 1))
+    m = Fsa.from_raw(alphabet, n + 1, 0, frozenset((n,)), None)
     _set_tokens(m, labels)
     return m
-
-
-def _loop_arcs(alphabet: Alphabet, count: int) -> tuple[tuple[int, int, int, bool], ...]:
-    """The technical loops (i, i, tech, False) of chain states 0 to
-    count - 1, sliced from the alphabet's `_loops`, lengthened first if
-    they are fewer."""
-    loops = alphabet._loops
-    if len(loops) < count:
-        tech = alphabet.tech
-        loops += tuple((i, i, tech, False) for i in range(len(loops), count))
-        object.__setattr__(alphabet, "_loops", loops)
-    return loops[:count]

@@ -275,7 +275,7 @@ def test_construction_writes_every_slot_through_its_bound_setter(ab):
 def test_every_slot_is_frozen_and_set_fresh(ab, slot):
     m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, ab.char("a"), True),))
     fresh = {"alphabet": ab, "n": 2, "start": 0, "finals": frozenset({1}),
-             "raw_arcs": ((0, 1, ab.char("a"), True),), "_trim": False}
+             "_raw_arcs": ((0, 1, ab.char("a"), True),), "_trim": False}
     assert getattr(m, slot) == fresh.get(slot)
     with pytest.raises(FrozenInstanceError):
         setattr(m, slot, None)
@@ -296,6 +296,20 @@ def test_copies_pickles_and_equals_get_fresh_caches():
         assert twin.arcs == m.arcs
         assert (twin._out, twin._bits, twin._memo, twin._tokens, twin._trim) == (
             None, None, None, None, False)
+
+
+def test_copies_and_pickles_of_an_unread_chain_are_plain_machines():
+    """A chain's arcs are made on first read; a copy or pickle reads them,
+    and is a machine with its arcs stored and no token labels."""
+    al = load_grammar("koasati").alphabet
+    want = prepare_parse_input(al, "lapatlookin").raw_arcs
+    for duplicate in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        chain = prepare_parse_input(al, "lapatlookin")
+        assert chain._raw_arcs is None
+        twin = duplicate(chain)
+        assert type(twin) is Fsa and twin == chain and twin is not chain
+        assert twin._raw_arcs == want and twin._tokens is None
+        assert (twin._out, twin._bits, twin._memo, twin._trim) == (None, None, None, False)
 
 
 def test_the_arcs_view_is_built_from_raw_arcs_on_each_read(ab):
