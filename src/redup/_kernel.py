@@ -10,18 +10,18 @@ back through the first machine, and enters only the pairs that can still
 reach a pair of finals, so it comes out trim. A rejected query is
 settled by that walk alone, with no pair entered, and its product is the
 one canonical empty machine the lexicon keeps (``empty_product``). Each
-step is memoized on the machine (``Fsa.live_memo``) with the live arcs of
-the states entered at it, so a lexicon walks each step back, and tests a
-state's arcs there, once for all its queries. The memo, lazy reverse
-determinization with caching in the sense of Mohri, Pereira & Riley 2000,
-also keeps each accepted product's raw parts by the query's token labels,
-up to ``_PARSE_TABLE_ARCS`` arcs in all, so a query the lexicon has
-accepted before runs neither the walk nor the forward pass. Any other open product enters a pair only if it is not a dead end:
-the labels leaving its two states overlap or both are final
-(``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs left. A
-closed product joins no two consumer arcs and enters only the pairs of
-``live``, the set ``coreachable`` finds by walking back from the pairs of
-finals, so it comes out trim.
+step back is memoized on the machine (``Fsa.live_memo``) as its set of
+live states, so a lexicon walks each step back once for all its queries.
+The memo, lazy reverse determinization with caching in the sense of
+Mohri, Pereira & Riley 2000, also keeps each accepted product's raw
+parts by the query's token labels, up to ``_PARSE_TABLE_ARCS`` arcs in
+all, so a query the lexicon has accepted before runs neither the walk
+nor the forward pass. Any other open product enters a pair only if it is
+not a dead end: the labels leaving its two states overlap or both are
+final (``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs
+left. A closed product joins no two consumer arcs and enters only the
+pairs of ``live``, the set ``coreachable`` finds by walking back from the
+pairs of finals, so it comes out trim.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def product(
 
     Open against a parse chain (``b`` carries its token labels), a pair
     (qa, i) is entered only if qa can still read the rest of the query
-    from chain state i (see ``_live_sets``), through the memoized live
-    arcs of qa at i (``_chain_product``). Every successor of a dead pair
+    from chain state i (see ``_live_sets``) and ``_chain_product``
+    follows only its arcs into such pairs. Every successor of a dead pair
     is dead, so the live pairs are numbered and expanded, and their arcs
     emitted, in the order the unrestricted product gives them: the result
     is that product trimmed, and no pair at all is entered when no pair of
@@ -122,15 +122,13 @@ def _chain_product(
     loop of every technical symbol. A pair (qa, i) is keyed qa * width + i.
 
     A query whose product the memo keeps returns it as it was kept. Any
-    other enters its pairs through the memo records of ``_live_sets``. The
-    moves of qa at i are its live arcs as ``(dst, advance, bits, pc)``: for
-    each out-arc in order, the token arc into S_(i+1), then the loop into
-    S_i. They are taken from ``out_raw`` the first time any parse enters
-    (qa, i) and replayed by every later one, so a pair costs one lookup.
-    The product is then kept (``_keep_parse``).
+    other enters its pairs through the live sets of ``_live_sets``: for
+    each out-arc of qa in order, the token arc if it enters S_(i+1), then
+    the loop if it stays in S_i. The product is then kept
+    (``_keep_parse``).
     """
     memo = a.live_memo()
-    parses = (memo.get(None) or _first_record(a, memo))[4]
+    parses = (memo.get(None) or _first_record(a, memo))[3]
     query = tuple(labels)
     kept = parses.get(query)
     if kept is not None:
@@ -146,29 +144,31 @@ def _chain_product(
     todo = [(a.start, 0, 0)]
     finals: list[int] = []
     arcs: list[tuple[int, int, int, bool]] = []
+
+    def enter(da: int, j: int) -> int:
+        key = da * width + j
+        tid = pair_id.get(key)
+        if tid is None:
+            tid = pair_id[key] = len(pair_id)
+            todo.append((da, j, tid))
+        return tid
+
     while todo:
         qa, i, sid = todo.pop()
-        here, moves = steps[i]
-        succ = moves.get(qa)
-        if succ is None:
-            label, ahead = (labels[i], steps[i + 1][0]) if i < last else (0, ())
-            succ = []
-            for _s, da, ba, pa in out_a[qa]:
-                if ba & label and da in ahead:
-                    succ.append((da, True, ba & label, pa))
-                if ba & tech and da in here:
-                    succ.append((da, False, ba & tech, pa))
-            succ = moves[qa] = tuple(succ)
-        if i == last and qa in finals_a:
-            finals.append(sid)
-        for da, advance, bits, pa in succ:
-            j = i + advance
-            key = da * width + j
-            tid = pair_id.get(key)
-            if tid is None:
-                tid = pair_id[key] = len(pair_id)
-                todo.append((da, j, tid))
-            arcs.append((sid, tid, bits, pa))
+        here = steps[i]
+        if i < last:
+            label, ahead = labels[i], steps[i + 1]
+        else:
+            label = 0
+            if qa in finals_a:
+                finals.append(sid)
+        for _s, da, ba, pa in out_a[qa]:
+            bits = ba & label
+            if bits and da in ahead:
+                arcs.append((sid, enter(da, i + 1), bits, pa))
+            bits = ba & tech
+            if bits and da in here:
+                arcs.append((sid, enter(da, i), bits, pa))
     n = len(pair_id)
     kept = n, frozenset(finals), tuple(arcs)
     _keep_parse(parses, query, kept)
@@ -206,37 +206,35 @@ def empty_product(a: Fsa) -> Fsa:
     parse chain that ``a`` rejects, one machine for all of them. It is
     never marked trim, and nothing writes to it but its own caches."""
     memo = a.live_memo()
-    return (memo.get(None) or _first_record(a, memo))[5]
+    return (memo.get(None) or _first_record(a, memo))[4]
 
 
-def _live_sets(a: Fsa, labels: list[int]) -> list[tuple[frozenset[int], dict]] | None:
-    """Per chain state i the memo record of S_i, the set of the states q of
-    ``a`` from which the pair (q, i) reaches a pair of finals, with the
-    moves the forward pass has taken from them; None when the start pair
+def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
+    """Per chain state i the set S_i of the states q of ``a`` from which
+    the pair (q, i) reaches a pair of finals; None when the start pair
     cannot.
 
     S_n (n tokens) is the states that reach a final of ``a`` over arcs
     that read a technical symbol, and S_i the states that reach, over such
     arcs, the source of an arc that reads token i's label and enters
     S_(i+1). The walk goes back from S_n and stops at the first empty set.
-    Each step's record is memoized in ``a.live_memo()`` under (S_(i+1),
-    label); what every walk starts from is under None
-    (``_first_record``).
+    Each step is memoized in ``a.live_memo()`` under (S_(i+1), label);
+    what every walk starts from is under None (``_first_record``).
     """
     memo = a.live_memo()
     tech = a.alphabet.tech
-    inc, sets, dead, step, _parses, _empty = memo.get(None) or _first_record(a, memo)
-    steps = [step]
+    inc, sets, live, _parses, _empty = memo.get(None) or _first_record(a, memo)
+    steps = [live]
     for label in reversed(labels):
-        if step is dead:
+        if not live:
             return None
-        key = (step[0], label)
-        step = memo.get(key)
-        if step is None:
-            live = _back_closure(inc, {s for d in key[0] for s, b in inc[d] if b & label}, tech)
-            step = memo[key] = (sets.setdefault(live, live), {}) if live else dead
-        steps.append(step)
-    if a.start not in step[0]:
+        key = (live, label)
+        live = memo.get(key)
+        if live is None:
+            found = _back_closure(inc, {s for d in key[0] for s, b in inc[d] if b & label}, tech)
+            live = memo[key] = sets.setdefault(found, found)
+        steps.append(live)
+    if a.start not in live:
         return None
     steps.reverse()
     return steps
@@ -245,16 +243,14 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[tuple[frozenset[int], dict]] |
 def _first_record(a: Fsa, memo: dict) -> tuple:
     """The record under None of ``a``'s live memo, built by the first parse
     against ``a``: the in-adjacency the steps walk, the table that keeps
-    each distinct set once, the one record of every empty set, S_n's
-    record, the table of accepted products (``_Parses``) and the canonical
-    empty machine of every rejected query."""
+    each distinct set once, S_n, the table of accepted products
+    (``_Parses``) and the canonical empty machine of every rejected
+    query."""
     inc: list[list[tuple[int, int]]] = [[] for _ in range(a.n)]
     for s, d, b, _pc in a.raw_arcs:
         inc[d].append((s, b))
     live = _back_closure(inc, set(a.finals), a.alphabet.tech)
-    dead = frozenset(), {}
-    memo[None] = record = (inc, {live: live}, dead, (live, {}) if live else dead,
-                           _Parses(), never_fsa(a.alphabet))
+    memo[None] = record = (inc, {live: live}, live, _Parses(), never_fsa(a.alphabet))
     return record
 
 

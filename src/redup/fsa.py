@@ -18,8 +18,7 @@ An open product (``_kernel.product``) reads two more caches of each
 machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
 it skip dead-end pairs, and ``live_memo``, filled by the products of parse
 chains against the machine, holds the sets of states that can still read
-each suffix of a query, the live arcs of those states the products
-entered, the raw parts of the accepted products themselves, up to a
+each suffix of a query, the raw parts of the accepted products, up to a
 fixed number of arcs, and the one empty machine every rejected parse
 returns. A parse chain carries one mark, its token labels, which sends
 its product to that memo. A closed product reads none of them.
@@ -222,15 +221,14 @@ class Fsa(Frozen):
         """The product kernel's memo of live sets, empty at first.
 
         A product against a parse chain (``_kernel.product``) fills it: its
-        backward walk keys the record of each set of states that can still
-        read a suffix of a query by the set one token later and that token's
-        label, and the forward pass adds the live arcs of each state it
-        enters there. What every walk starts from is under None, beside the
-        raw parts of each accepted product, by its query's token labels, and
-        the empty machine of every rejected one. A lexicon so walks each
-        step back, and tests each arc there, once, and a query it has
-        accepted before runs neither. Left out of equality, hashing,
-        pickling and copies like the adjacency.
+        backward walk keys each set of states that can still read a suffix
+        of a query by the set one token later and that token's label. What
+        every walk starts from is under None, beside the raw parts of each
+        accepted product, by its query's token labels, and the empty
+        machine of every rejected one. A lexicon so walks each step back
+        once, and a query it has accepted before runs neither the walk nor
+        the forward pass. Left out of equality, hashing, pickling and copies
+        like the adjacency.
         """
         memo = self._memo
         if memo is None:

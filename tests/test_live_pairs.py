@@ -21,11 +21,11 @@ raw arc sequence and the trim mark):
 The live sets the backward walk gives (``_kernel._live_sets``) are checked
 against a fixpoint over every pair of machine state and chain position, on
 random acyclic and cyclic machines and on a hand-built cycle, whose memo
-stays bounded whatever the query's length. A lexicon's wide start state
-keeps the out-arc order in its memoized moves. The moves a parse fills in
-are checked by parsing twice, from a cold memo and from a warm one: on
-random lexicons with a wide start, whose drawn queries share one memo, and
-on the 2,000 seeded queries.
+stays bounded whatever the query's length. A parse follows a lexicon's
+wide start state's live arcs alone, in out-arc order. The memo a parse
+fills in is checked by parsing twice, from a cold memo and from a warm
+one: on random lexicons with a wide start, whose drawn queries share one
+memo, and on the 2,000 seeded queries.
 
 The parse products themselves are pinned by digest: ``golden/
 parse_products.sha256`` holds the sha256 of the raw form of each open
@@ -35,9 +35,8 @@ path must leave every product as it is.
 
 A parse enters exactly the live pairs, so `ProductStats` counts the pairs
 of its result, and none for a query the backward walk rejects. The walk's
-memo on the machine gains no entry, and no move entry, from queries it has
-seen, holds at most two move entries per machine state, and neither it
-nor the chain's mark takes part in equality, hashing, pickling or
+memo on the machine gains no entry from queries it has seen, and neither
+it nor the chain's mark takes part in equality, hashing, pickling or
 copies. No compile walks back: its open products keep the dead-end test
 alone. The hypothesis tests here set no example count of their own, so a
 profile registered in ``conftest.py`` can run them longer.
@@ -61,7 +60,7 @@ from redup.interpret import ProductStats, close, intersect_open, prepare_parse_i
 from test_acceptance import PARSE_CASES
 from test_koasati_oracle import compile_lexicon, koasati
 from test_product_path import (
-    identical, lexicon, memo_records, ref_open_product, ref_pruned, shipped_entries,
+    identical, lexicon, ref_open_product, ref_pruned, shipped_entries,
 )
 from test_representation import random_fsa
 
@@ -120,18 +119,12 @@ def ref_live_sets(m, labels):
     return live
 
 
-def live_sets(m, labels):
-    """The sets S_i of the memo records `_kernel._live_sets` gives, or None."""
-    steps = _kernel._live_sets(m, labels)
-    return None if steps is None else [live for live, _moves in steps]
-
-
 def check_live_sets(m, surface):
     """`_kernel._live_sets` gives the reference's sets, or None exactly
     when the start pair is not live; the parse then agrees too."""
     chain = prepare_parse_input(m.alphabet, surface)
     want = ref_live_sets(m, chain._tokens)
-    lives = live_sets(m, chain._tokens)
+    lives = _kernel._live_sets(m, chain._tokens)
     if m.start in want[0]:
         assert lives == want
     else:
@@ -209,8 +202,8 @@ def test_live_sets_of_a_chain_are_the_states_that_reach_a_final_pair(ab, surface
 
 # -- wide states ---------------------------------------------------------------------------
 
-# More out-arcs than the live states ahead, as at a lexicon's start: its
-# moves keep only the live arcs, in out-arc order.
+# More out-arcs than the live states ahead, as at a lexicon's start: a
+# parse follows only the live arcs, in out-arc order.
 WIDE = 16
 
 
@@ -252,16 +245,17 @@ def stem_union(ab, count):
 
 @pytest.mark.parametrize("surface", ["", "a", "aa", "ab", "ba", "bb", "aba"])
 def test_a_wide_state_keeps_the_out_arc_order(ab, surface):
-    """A wide start state's moves are its live arcs in out-arc order, so
-    the product is the reference's, arc order included; a query of any
-    other length than two enters no pair."""
+    """A parse follows a wide start state's live arcs alone, in out-arc
+    order, so the product is the reference's, arc order included, and its
+    start has fewer out-arcs than the lexicon's; a query of any other
+    length than two enters no pair."""
     lexicon = stem_union(ab, 3 * WIDE)
     chain = prepare_parse_input(ab, surface)
     got = check_parse(lexicon, chain)
     steps = _kernel._live_sets(lexicon, chain._tokens)
     if len(surface) == 2:
         assert got.finals
-        assert len(lexicon.out_raw()[lexicon.start]) > len(steps[0][1][lexicon.start])
+        assert len(got.out_raw()[got.start]) < len(lexicon.out_raw()[lexicon.start])
     else:
         assert steps is None and not got.finals
 
@@ -355,30 +349,20 @@ def test_parses_of_shipped_entries_and_near_misses_match(grammar):
     assert entries and accepted
 
 
-def move_entries(m):
-    """The moves of `m`'s live memo, by record and state."""
-    return {(id(record), q): moves
-            for record in memo_records(m) for q, moves in record[1].items()}
-
-
 def test_a_second_pass_adds_no_memo_entry():
-    """Nor any move entry: every moves tuple stays the same object, and
-    there are at most twice as many as the machine has states. No accepted
-    product is kept, so the second pass replays the moves of every query
-    (`test_parse_table` checks a pass from the kept products)."""
+    """Every step record stays the same object. No accepted product is
+    kept, so the second pass walks back and runs the forward pass of every
+    query (`test_parse_table` checks a pass from the kept products)."""
     cg, m, accepted = lexicon(400)
     queries = koasati.queries(3, accepted, 500)
     with mock.patch.object(_kernel, "_keep_parse"):
         for q in queries:
             intersect_open(m, prepare_parse_input(cg.alphabet, q))
-        memo, moves = dict(m.live_memo()), move_entries(m)
+        memo = dict(m.live_memo())
         for q in queries:
             intersect_open(m, prepare_parse_input(cg.alphabet, q))
     assert m.live_memo() == memo
     assert all(m.live_memo()[key] is value for key, value in memo.items())
-    assert move_entries(m).keys() == moves.keys()
-    assert all(move_entries(m)[key] is value for key, value in moves.items())
-    assert 0 < len(moves) <= 2 * m.n
 
 
 def test_the_memo_and_the_chain_mark_are_left_out_of_equality_pickling_and_copies():
@@ -417,5 +401,4 @@ def test_parse_products_match_the_golden_digest():
             p = intersect_open(m, prepare_parse_input(cg.alphabet, query))
             for x in (p, close(p)):
                 digest.update(repr((x.n, x.start, sorted(x.finals), x.raw_arcs)).encode())
-        assert len(move_entries(m)) <= 2 * m.n
     assert digest.hexdigest() == (GOLDEN / "parse_products.sha256").read_text().split()[0]

@@ -13,7 +13,7 @@ returns the one canonical empty machine the memo holds.
   products; a pass that keeps them, and one that reads every accepted
   product from the table, must give the same machines exactly, the same
   `ProductStats.per_call`, a new machine with empty caches on every call,
-  and no new step record or move entry.
+  and no new step record.
 - The table holds at most ``_kernel._PARSE_TABLE_ARCS`` arcs, drops its
   oldest products first and never keeps one larger than that: checked on
   the cyclic machine of `test_live_pairs` with a small budget, and on
@@ -34,13 +34,13 @@ from redup import _kernel
 from redup.fsa import Fsa, is_empty, never_fsa, trim
 from redup.interpret import ProductStats, close, intersect_open, prepare_parse_input
 from test_koasati_oracle import compile_lexicon, koasati
-from test_live_pairs import chain_lexicon, check_parse, cycle_of_segments, move_entries
+from test_live_pairs import chain_lexicon, check_parse, cycle_of_segments
 from test_product_path import identical
 
 
 def table(m):
     """The accepted products `m`'s live memo keeps, oldest first."""
-    return m.live_memo()[None][4]
+    return m.live_memo()[None][3]
 
 
 def cold_copy(m):
@@ -80,7 +80,7 @@ def test_products_from_the_table_match_cold_products(seed):
     with mock.patch.object(_kernel, "_keep_parse"):
         wants, want_counts, walks = parse_pass(m, chains)
     assert walks == len(queries) and not table(m)
-    steps, moves = dict(m.live_memo()), move_entries(m)
+    steps = dict(m.live_memo())
     firsts = {q: i for i, q in reversed(list(enumerate(queries)))}
     accepts = [i for i, q in enumerate(queries) if q in accepted]
     repeats = sum(firsts[queries[i]] != i for i in accepts)
@@ -106,7 +106,7 @@ def test_products_from_the_table_match_cold_products(seed):
     for got, _counts, _walks in passes:
         for i in accepts:
             assert got[i].raw_arcs is first[firsts[queries[i]]].raw_arcs
-    assert m.live_memo() == steps and move_entries(m) == moves
+    assert m.live_memo() == steps
     assert all(m.live_memo()[key] is record for key, record in steps.items())
 
 

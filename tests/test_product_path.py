@@ -161,13 +161,13 @@ def ref_subset_construct(by_src, initial, accepting, atoms):
 
 
 def memo_records(m):
-    """Every record of `m`'s live memo: S_n's, the one of the empty sets,
-    and one per step. The record under None also holds the in-adjacency,
-    the table of distinct sets, the kept accepted products and the empty
-    machine of rejected ones, which are no step records."""
+    """Every record of `m`'s live memo: S_n, and one live set per step.
+    The record under None also holds the in-adjacency, the table of
+    distinct sets, the kept accepted products and the empty machine of
+    rejected ones, which are no step records."""
     memo = m.live_memo()
-    _inc, _sets, dead, last, _parses, _empty = memo[None]
-    return [last, dead] + [record for key, record in memo.items() if key is not None]
+    _inc, _sets, last, _parses, _empty = memo[None]
+    return [last] + [record for key, record in memo.items() if key is not None]
 
 
 def identical(got, want):
@@ -293,11 +293,11 @@ def test_parses_of_seeded_queries_match():
     """2,000 queries, half forms and half near misses of them, against the
     seed-1 400-stem wordform, in two passes: the first from a copy whose
     memo starts cold, the second with that memo warm. No accepted product
-    is kept, so every query walks back and replays its moves
+    is kept, so every query walks back and runs the forward pass
     (`test_parse_table` checks the kept ones). Each open product is the
     reference's pruned, none cut, each entering only the reference's live
     pairs, and each verdict the oracle's. The memo keeps each distinct
-    live set as one object."""
+    live set as one object, and a step record is its live set alone."""
     cg, m, accepted = lexicon(400)
     m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     queries = koasati.queries(1, accepted, 2000)
@@ -316,8 +316,9 @@ def test_parses_of_seeded_queries_match():
             assert verdicts == [q in accepted for q in queries]
     assert 800 < sum(verdicts) < 1200
     sets = [key[0] for key in m.live_memo() if key is not None]
-    sets += [live for live, _moves in memo_records(m)]
+    sets += memo_records(m)
     assert len({id(live) for live in sets}) == len(set(sets))
+    assert all(type(live) is frozenset for live in memo_records(m))
 
 
 def test_a_parse_builds_two_machines():
