@@ -4,29 +4,31 @@ Pure Python, and the only kernel; ``BACKEND`` names it in benchmark
 reports. It reads each machine's cached adjacency (``Fsa.out_raw``) and
 returns raw ``(src, dst, bits, pc)`` arcs, so a product converts nothing.
 
-``product`` has three modes. A product against a parse chain (the second
-operand built by ``interpret.prepare_parse_input``) first walks the query
-back through the first machine, and enters only the pairs that can still
-reach a pair of finals, so it comes out trim. A rejected query is
-settled by that walk alone, with no pair entered, and its product is the
-one canonical empty machine the lexicon keeps (``empty_product``). Each
-step back is memoized on the machine (``Fsa.live_memo``) as its set of
-live states, so a lexicon walks each step back once for all its queries.
-The memo, lazy reverse determinization with caching in the sense of
-Mohri, Pereira & Riley 2000, also keeps each accepted product's raw
-parts by the query's token labels, up to ``_PARSE_TABLE_ARCS`` arcs in
-all, so a query the lexicon has accepted before runs neither the walk
-nor the forward pass. Any other open product enters a pair only if it is
+``product`` has two modes. An open product enters a pair only if it is
 not a dead end: the labels leaving its two states overlap or both are
 final (``Fsa.out_bits``); ``fsa.pruned_from_raw`` cuts the dead pairs
 left. A closed product joins no two consumer arcs and enters only the
 pairs of ``live``, the set ``coreachable`` finds by walking back from the
 pairs of finals, so it comes out trim.
+
+``chain_product`` is the open product against a parse chain (the machine
+built by ``interpret.prepare_parse_input``), and returns the trim machine
+itself. It first walks the query back through the lexicon, and enters
+only the pairs that can still reach a pair of finals. A rejected query is
+settled by that walk alone, with no pair entered, and its product is the
+one empty machine the lexicon keeps. Each step back is memoized on the
+machine (``Fsa.live_memo``) as its set of live states, so a lexicon walks
+each step back once for all its queries. The memo, lazy reverse
+determinization with caching in the sense of Mohri, Pereira & Riley 2000,
+also keeps each accepted product by the query's token labels, up to
+``_PARSE_TABLE_ARCS`` arcs in all, so a query the lexicon has accepted
+before runs neither the walk nor the forward pass, and gets the same
+machine back.
 """
 
 from __future__ import annotations
 
-from .fsa import Fsa, RawArc, never_fsa
+from .fsa import Fsa, RawArc, _is_producer, _marked, _set_closed, never_fsa
 
 BACKEND = "py"
 
@@ -34,6 +36,8 @@ BACKEND = "py"
 # all; the oldest go first when a new one needs room, and a larger product
 # is not kept. The seed-1 `perfbench` pool keeps about 14,200.
 _PARSE_TABLE_ARCS = 1 << 16
+
+_NONE: frozenset[int] = frozenset()  # the live states after the last token
 
 
 def product(
@@ -47,34 +51,21 @@ def product(
     tuples, and visited_pairs counts the distinct state pairs entered — the
     work measure used to compare engines.
 
-    Open against a parse chain (``b`` carries its token labels), a pair
-    (qa, i) is entered only if qa can still read the rest of the query
-    from chain state i (see ``_live_sets``) and ``_chain_product``
-    follows only its arcs into such pairs. Every successor of a dead pair
-    is dead, so the live pairs are numbered and expanded, and their arcs
-    emitted, in the order the unrestricted product gives them: the result
-    is that product trimmed, and no pair at all is entered when no pair of
-    finals is reached (the result then is ``(1, 0, [], [], 0)``). An
-    accepted product comes with its finals as a frozenset and its arcs as
-    a tuple, kept in the memo: a later query of the same token labels gets
-    those same objects, and the same pair count, without a walk.
-
-    Any other open product (``live`` None) enters a new pair (qa, qb) only
-    if it is not a dead end: the labels leaving its two states overlap or
-    both are final. A pair that fails the test reaches no pair of finals,
-    so the result trimmed (``fsa.pruned_from_raw``, which reads these lists
-    as they are) is the same machine, arc order included, as the product
-    without the test trimmed.
+    Open (``live`` None), a new pair (qa, qb) is entered only if it is not
+    a dead end: the labels leaving its two states overlap or both are
+    final. A pair that fails the test reaches no pair of finals, so the
+    result trimmed (``fsa.pruned_from_raw``, which reads these lists as
+    they are) is the same machine, arc order included, as the product
+    without the test trimmed. A parse chain is read here as the plain
+    machine of its arcs; ``interpret.intersect_open`` sends a parse to
+    ``chain_product`` instead.
 
     Closed (``live`` given), a pair of arcs neither of which is a producer
     makes no arc, and only the pairs whose keys (``qa * b.n + qb``) are in
     ``live`` are entered; it must hold the start pair. With the
-    ``coreachable`` set, the result is the closed product already trimmed,
-    for the reason the chain's is.
+    ``coreachable`` set, the result is the closed product already trimmed.
     """
     closed = live is not None
-    if not closed and b._tokens is not None:
-        return _chain_product(a, b._tokens)
     out_a, out_b, finals_a, finals_b = a.out_raw(), b.out_raw(), a.finals, b.finals
     if not closed:
         bits_a, bits_b = a.out_bits(), b.out_bits()
@@ -114,29 +105,39 @@ def product(
     return len(pair_id), 0, finals, arcs, len(pair_id)
 
 
-def _chain_product(
-    a: Fsa, labels: list[int]
-) -> tuple[int, int, list[int] | frozenset[int], list | tuple, int]:
-    """``product(a, chain)`` for the chain of these token labels: state i
-    leaves by a consumer arc of ``labels[i]`` to i + 1, then by a consumer
-    loop of every technical symbol. A pair (qa, i) is keyed qa * width + i.
+def chain_product(a: Fsa, labels: list[int]) -> Fsa:
+    """The open product of ``a`` and the parse chain of these token labels,
+    trimmed: state i of the chain leaves by a consumer arc of
+    ``labels[i]`` to i + 1, then by a consumer loop of every technical
+    symbol. A pair (qa, i) is keyed qa * width + i.
 
-    A query whose product the memo keeps returns it as it was kept. Any
-    other enters its pairs through the live sets of ``_live_sets``: for
-    each out-arc of qa in order, the token arc if it enters S_(i+1), then
-    the loop if it stays in S_i. The product is then kept
-    (``_keep_parse``).
+    A query whose product the memo keeps returns that machine itself, and
+    a query the walk back rejects (``_live_sets`` gives None) the one empty
+    machine of ``a``'s memo, so only a first accepted occurrence builds a
+    machine. It enters only live pairs: from (qa, i), for each out-arc of
+    qa in order, the token arc if it enters S_(i+1), then the loop if it
+    stays in S_i. Every successor of a dead pair is dead, so the live
+    pairs are numbered and expanded, and their arcs emitted, in the order
+    the unrestricted product gives them: the result is that product
+    trimmed, and is marked trim. When qa has more out-arcs than there are
+    live states to enter (S_(i+1) and S_i, or S_n alone at the end of the
+    query), its arcs into them are taken from their in-arcs instead, by
+    their index in ``a.raw_arcs``, which is the out-arc order, so wide
+    states such as a lexicon's start are not scanned. A product none of
+    whose arcs is a consumer is also marked closed, so ``interpret.close``
+    returns it as it is. The product is then kept (``_keep_parse``).
     """
     memo = a.live_memo()
-    parses = (memo.get(None) or _first_record(a, memo))[3]
+    record = memo.get(None) or _first_record(a, memo)
+    parses = record[3]
     query = tuple(labels)
     kept = parses.get(query)
     if kept is not None:
-        n, finals, arcs = kept
-        return n, 0, finals, arcs, n
+        return kept
     steps = _live_sets(a, labels)
     if steps is None:
-        return 1, 0, [], [], 0
+        return record[4]
+    inc, raw = record[0], a.raw_arcs
     out_a, finals_a, tech = a.out_raw(), a.finals, a.alphabet.tech
     last = len(labels)
     width = last + 1
@@ -159,26 +160,32 @@ def _chain_product(
         if i < last:
             label, ahead = labels[i], steps[i + 1]
         else:
-            label = 0
+            label, ahead = 0, _NONE
             if qa in finals_a:
                 finals.append(sid)
-        for _s, da, ba, pa in out_a[qa]:
+        out = out_a[qa]
+        if len(out) > len(ahead) + len(here):
+            found = [k for d in ahead for s, _b, k in inc[d] if s == qa]
+            found += [k for d in here if d not in ahead for s, _b, k in inc[d] if s == qa]
+            found.sort()
+            out = [raw[k] for k in found]
+        for _s, da, ba, pa in out:
             bits = ba & label
             if bits and da in ahead:
                 arcs.append((sid, enter(da, i + 1), bits, pa))
             bits = ba & tech
             if bits and da in here:
                 arcs.append((sid, enter(da, i), bits, pa))
-    n = len(pair_id)
-    kept = n, frozenset(finals), tuple(arcs)
-    _keep_parse(parses, query, kept)
-    return n, 0, kept[1], kept[2], n
+    m = _marked(Fsa.from_raw(a.alphabet, len(pair_id), 0, frozenset(finals), tuple(arcs)))
+    if all(map(_is_producer, arcs)):
+        _set_closed(m, True)
+    _keep_parse(parses, query, m)
+    return m
 
 
 class _Parses(dict):
-    """A lexicon's accepted parse products as ``(n, finals, arcs)``, by the
-    token labels of their queries, oldest first; ``arcs`` counts the arcs
-    they hold."""
+    """A lexicon's accepted parse products, by the token labels of their
+    queries, oldest first; ``arcs`` counts the arcs they hold."""
 
     __slots__ = ("arcs",)
 
@@ -186,27 +193,19 @@ class _Parses(dict):
         self.arcs = 0
 
 
-def _keep_parse(parses: _Parses, query: tuple[int, ...], kept: tuple) -> None:
+def _keep_parse(parses: _Parses, query: tuple[int, ...], kept: Fsa) -> None:
     """Keep an accepted product in the table, dropping the oldest ones
     while the table would hold more than ``_PARSE_TABLE_ARCS`` arcs, as
     ``re`` drops its oldest patterns; a product larger than that is not
     kept. An accepted product of a query of k tokens has at least k arcs,
     so only the empty query's can be kept at no cost."""
-    size = len(kept[2])
+    size = len(kept.raw_arcs)
     if size > _PARSE_TABLE_ARCS:
         return
     parses.arcs += size
     while parses.arcs > _PARSE_TABLE_ARCS:
-        parses.arcs -= len(parses.pop(next(iter(parses)))[2])
+        parses.arcs -= len(parses.pop(next(iter(parses))).raw_arcs)
     parses[query] = kept
-
-
-def empty_product(a: Fsa) -> Fsa:
-    """The canonical empty machine ``a``'s memo keeps: the product of every
-    parse chain that ``a`` rejects, one machine for all of them. It is
-    never marked trim, and nothing writes to it but its own caches."""
-    memo = a.live_memo()
-    return (memo.get(None) or _first_record(a, memo))[4]
 
 
 def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
@@ -231,7 +230,8 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
         key = (live, label)
         live = memo.get(key)
         if live is None:
-            found = _back_closure(inc, {s for d in key[0] for s, b in inc[d] if b & label}, tech)
+            found = _back_closure(
+                inc, {s for d in key[0] for s, b, _k in inc[d] if b & label}, tech)
             live = memo[key] = sets.setdefault(found, found)
         steps.append(live)
     if a.start not in live:
@@ -242,25 +242,29 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
 
 def _first_record(a: Fsa, memo: dict) -> tuple:
     """The record under None of ``a``'s live memo, built by the first parse
-    against ``a``: the in-adjacency the steps walk, the table that keeps
-    each distinct set once, S_n, the table of accepted products
-    (``_Parses``) and the canonical empty machine of every rejected
-    query."""
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(a.n)]
-    for s, d, b, _pc in a.raw_arcs:
-        inc[d].append((s, b))
+    against ``a``: the in-adjacency the steps walk and the forward pass
+    joins through, as ``(src, bits, index in a.raw_arcs)``, the table that
+    keeps each distinct set once, S_n, the table of accepted products
+    (``_Parses``) and the empty machine every rejected query returns, one
+    for all of them. That machine is never marked trim; it has no arc, so
+    it is marked closed, and nothing writes to it but its own caches."""
+    inc: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
+    for k, (s, d, b, _pc) in enumerate(a.raw_arcs):
+        inc[d].append((s, b, k))
     live = _back_closure(inc, set(a.finals), a.alphabet.tech)
-    memo[None] = record = (inc, {live: live}, live, _Parses(), never_fsa(a.alphabet))
+    empty = never_fsa(a.alphabet)
+    _set_closed(empty, True)
+    memo[None] = record = (inc, {live: live}, live, _Parses(), empty)
     return record
 
 
-def _back_closure(inc: list[list[tuple[int, int]]], found: set[int],
+def _back_closure(inc: list[list[tuple[int, int, int]]], found: set[int],
                   tech: int) -> frozenset[int]:
     """``found`` with every state that reaches one of them over arcs that
     read a technical symbol."""
     todo = list(found)
     while todo:
-        for s, b in inc[todo.pop()]:
+        for s, b, _k in inc[todo.pop()]:
             if b & tech and s not in found:
                 found.add(s)
                 todo.append(s)

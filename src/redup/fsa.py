@@ -14,14 +14,23 @@ later read returns the same tuple. Every operation here, in ``interpret``,
 ``enrich`` and ``compiler`` works on the raw form directly. ``arcs`` is a
 view of the same arcs as ``Arc(src, Label(bits, pc), dst)`` values, built
 anew on each read and not stored.
-An open product (``_kernel.product``) reads two more caches of each
+An open product (``_kernel.product``) reads one more cache of each
 machine itself: ``out_bits``, the OR of each state's out-arc labels, lets
-it skip dead-end pairs, and ``live_memo``, filled by the products of parse
-chains against the machine, holds the sets of states that can still read
-each suffix of a query, the raw parts of the accepted products, up to a
-fixed number of arcs, and the one empty machine every rejected parse
-returns. A parse chain carries one mark, its token labels, which sends
-its product to that memo. A closed product reads none of them.
+it skip dead-end pairs. ``live_memo``, filled by the products of parse
+chains against the machine (``_kernel.chain_product``), holds the sets of
+states that can still read each suffix of a query, its in-adjacency, the
+accepted products themselves, up to a fixed number of arcs, and the one
+empty machine every rejected parse returns. A parse chain carries one
+mark, its token labels, which sends its product to that memo. A closed
+product reads none of them.
+A machine carries two more marks, each a fact about it that an operation
+would otherwise find by a walk: trim (below), and closed, which says that
+no arc of the machine is a consumer, so ``interpret.close`` of it alone
+is its ``trim`` with no scan of its arcs. Only three results are marked
+closed: a parse's product whose arcs are all producers (and the lexicon's
+empty machine of rejected parses), the closed product, and what ``close``
+of one machine returns. No operation copies the mark: enriching or
+retyping arcs can add consumers.
 None of the caches, nor the marks, takes part in equality, hashing,
 pickling or copies, and the hash itself is not cached.
 Input is validated at the boundary only: the public constructor, the
@@ -69,6 +78,7 @@ without walking again.
 from __future__ import annotations
 
 from itertools import accumulate, compress, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .alphabet import Alphabet
@@ -77,6 +87,7 @@ from .errors import AutomatonError, EnumerationCapError, Frozen
 DEFAULT_ENUM_CAP = 200_000
 
 RawArc = tuple[int, int, int, bool]  # (src, dst, bits, pc)
+_is_producer = itemgetter(3)  # of a raw arc
 
 class Label(NamedTuple):
     bits: int
@@ -99,7 +110,7 @@ class Fsa(Frozen):
 
     __slots__ = (
         "alphabet", "n", "start", "finals", "_raw_arcs",
-        "_out", "_bits", "_memo", "_tokens", "_trim",
+        "_out", "_bits", "_memo", "_tokens", "_trim", "_closed",
     )
 
     def __init__(
@@ -220,15 +231,15 @@ class Fsa(Frozen):
     def live_memo(self) -> dict:
         """The product kernel's memo of live sets, empty at first.
 
-        A product against a parse chain (``_kernel.product``) fills it: its
-        backward walk keys each set of states that can still read a suffix
-        of a query by the set one token later and that token's label. What
-        every walk starts from is under None, beside the raw parts of each
-        accepted product, by its query's token labels, and the empty
-        machine of every rejected one. A lexicon so walks each step back
-        once, and a query it has accepted before runs neither the walk nor
-        the forward pass. Left out of equality, hashing, pickling and copies
-        like the adjacency.
+        A product against a parse chain (``_kernel.chain_product``) fills
+        it: its backward walk keys each set of states that can still read a
+        suffix of a query by the set one token later and that token's
+        label. What every walk starts from is under None, beside the
+        in-adjacency, each accepted product by its query's token labels,
+        and the empty machine of every rejected one. A lexicon so walks
+        each step back once, and a query it has accepted before runs
+        neither the walk nor the forward pass. Left out of equality,
+        hashing, pickling and copies like the adjacency.
         """
         memo = self._memo
         if memo is None:
@@ -283,7 +294,7 @@ class Fsa(Frozen):
 
 # each slot's setter, bound once: a write skips `object.__setattr__`'s lookup
 (_set_alphabet, _set_n, _set_start, _set_finals, _set_raw_arcs, _set_out,
- _set_bits, _set_memo, _set_tokens, _set_trim) = (
+ _set_bits, _set_memo, _set_tokens, _set_trim, _set_closed) = (
     getattr(Fsa, slot).__set__ for slot in Fsa.__slots__)
 
 
@@ -298,6 +309,7 @@ def _init(m: Fsa, alphabet, n, start, finals, raw_arcs) -> None:
     _set_memo(m, None)
     _set_tokens(m, None)
     _set_trim(m, False)
+    _set_closed(m, False)
 
 
 def _marked(m: Fsa, mark: bool = True) -> Fsa:

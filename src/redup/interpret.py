@@ -12,30 +12,27 @@ final pair can still be reached.
 from __future__ import annotations
 
 from functools import reduce
-from operator import itemgetter
 from typing import Sequence
 
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
 from .fsa import (
-    Fsa, _marked, _set_tokens, never_fsa, pruned_from_raw, trim,
+    Fsa, _is_producer, _marked, _set_closed, _set_tokens, never_fsa, pruned_from_raw, trim,
 )
-
-
-_is_producer = itemgetter(3)  # of a raw (src, dst, bits, pc) arc
 
 
 class ProductStats:
     """Work counters accumulated across the products of intersect_open and close.
 
-    `per_call` holds one count per product: for an open product the pairs
-    it entered: for a parse (a product against a parse chain) the live
-    pairs only, so 0 for a query its backward walk rejects, the same count
-    again for a query whose product the machine kept from an earlier
-    parse (though it enters none), and for any
-    other all but the dead-end pairs it skips (see `_kernel.product`); for
-    a closed product the pairs its backward walk found.  Passed to
+    `per_call` holds one count per product.  For a parse (a product
+    against a parse chain) it is the states of the trim product, which are
+    the live pairs it entered, or 0 for a query its backward walk rejects;
+    a query whose product the machine kept from an earlier parse counts
+    the same again, though it enters none (see `_kernel.chain_product`).
+    For any other open product it is the pairs entered, all but the
+    dead-end pairs it skips (see `_kernel.product`), and for a closed
+    product the pairs its backward walk found.  Passed to
     `CompiledGrammar.compile`, it sees each product the compile runs, the
     closed product of a `closed_interpretation` included.  A product in a
     parameter-free part of a parameterised definition runs, and is counted,
@@ -81,27 +78,27 @@ def _same_alphabet(a: Fsa, b: Fsa) -> None:
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Pairwise product with label intersection and producer-dominant pc.
 
-    The product skips dead-end pairs, and against a parse chain every pair
-    that cannot reach a pair of finals (see `_kernel.product`); `stats`
-    counts only the pairs it enters, or for a parse `a` has accepted before
-    the pairs its product entered then.  The result is the only machine
-    built: the trim product, or the canonical empty machine when no pair
-    of finals is reached.  A product against a parse chain is trim as it
-    comes, and is a new machine built from the raw parts `a` keeps of it
-    (`frozenset` and `tuple` of them copy nothing); a rejected parse
-    builds none, and returns the one empty machine `a` keeps for them
-    (`_kernel.empty_product`).  The other products' raw arcs are trimmed
-    as they are (`fsa.pruned_from_raw`).
+    The product skips dead-end pairs (see `_kernel.product`), and its raw
+    arcs are trimmed as they are (`fsa.pruned_from_raw`): the trim product,
+    or the canonical empty machine when no pair of finals is reached, is
+    the only machine built.  Against a parse chain it enters only the
+    pairs that can reach a pair of finals (`_kernel.chain_product`), and
+    returns the trim machine `a` keeps of it: a new one only for a query
+    `a` has not accepted before, the same object for one it has, and the
+    one empty machine `a` keeps for every rejected query.  `stats` counts
+    the pairs the product enters, or for a parse `a` has accepted before
+    the pairs its product entered then.
     """
     _same_alphabet(a, b)
+    if b._tokens is not None:
+        got = _kernel.chain_product(a, b._tokens)
+        if stats is not None:
+            stats.record(got.n if got.finals else 0)
+        return got
     n, start, finals, arcs, visited = _kernel.product(a, b)
     if stats is not None:
         stats.record(visited)
-    if b._tokens is None:
-        return pruned_from_raw(a.alphabet, n, start, finals, arcs)
-    if not finals:
-        return _kernel.empty_product(a)
-    return _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+    return pruned_from_raw(a.alphabet, n, start, finals, arcs)
 
 
 def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
@@ -112,17 +109,23 @@ def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
     if stats is not None:
         stats.record(len(live))
     if a.start * b.n + b.start not in live:
-        return never_fsa(a.alphabet)
-    n, start, finals, arcs, _entered = _kernel.product(a, b, live)
-    return _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+        m = never_fsa(a.alphabet)
+    else:
+        n, start, finals, arcs, _entered = _kernel.product(a, b, live)
+        m = _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
+    _set_closed(m, True)
+    return m
 
 
 def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Closed interpretation of the open intersection of `parts`.
 
     Deletes the arcs whose demands were never produced.  `close(m)` filters
-    one machine, and is `trim(m)` when no arc of `m` is a consumer: at once
-    for a machine already marked trim, such as a product's result.  With
+    one machine, and is `trim(m)` when no arc of `m` is a consumer.  A
+    machine marked closed is known to have none, and its arcs are not
+    scanned: a parse's product of producer arcs alone, or a result of
+    `close`, and so `close(m)` is `m` itself when `m` is marked both
+    closed and trim.  What `close` returns is marked closed.  With
     several parts, all but the one with the most arcs are intersected
     openly in the order given, and that largest part joins last, in one
     closed product: arc pairs with no producer on either side are never
@@ -148,10 +151,14 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
         raise TypeError("close() needs at least one automaton")
     if len(parts) == 1:
         a = parts[0]
-        if all(map(_is_producer, a.raw_arcs)):
-            return trim(a)
-        kept = tuple(arc for arc in a.raw_arcs if arc[3])
-        return trim(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, kept))
+        if a._closed and a._trim:
+            return a
+        if not (a._closed or all(map(_is_producer, a.raw_arcs))):
+            a = Fsa.from_raw(a.alphabet, a.n, a.start, a.finals,
+                             tuple(arc for arc in a.raw_arcs if arc[3]))
+        a = trim(a)
+        _set_closed(a, True)
+        return a
     *rest, last = closing_order(parts)
     rest = reduce(lambda x, y: intersect_open(x, y, stats), rest)
     return _closed_product(rest, last, stats)
@@ -181,10 +188,10 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     loop on each state so the grammar's technical arcs can surface anywhere.
     An unknown token raises `InventoryError`.  It is marked with its token
     labels, read in one pass (`Alphabet.token_masks`), which is all a
-    product against it reads (`_kernel.product`); the mark, like a cache,
-    takes no part in equality, hashing, pickling or copies.  So the chain
-    is built without arcs: `Fsa.raw_arcs` makes them from the labels when
-    something first reads them, which a parse never does.
+    product against it reads (`_kernel.chain_product`); the mark, like a
+    cache, takes no part in equality, hashing, pickling or copies.  So the
+    chain is built without arcs: `Fsa.raw_arcs` makes them from the labels
+    when something first reads them, which a parse never does.
     """
     labels = alphabet.token_masks(string)
     n = len(labels)

@@ -153,7 +153,8 @@ def test_eager_parse_is_an_open_product_then_a_one_part_close(
     capsys, monkeypatch, flags, grammar, entry, surface, code
 ):
     """The parse step runs `close(intersect_open(machine, chain))`, as the
-    benchmark's parse stream does, and never a closed product: a fused
+    benchmark's parse stream does: the open product is the chain product,
+    and no product, closed or not, runs beside it. A fused
     `close(machine, chain)` would walk back from every final of the lexicon."""
     import redup._kernel
     import redup.cli
@@ -183,6 +184,9 @@ def test_eager_parse_is_an_open_product_then_a_one_part_close(
         spy("product", redup._kernel.product, lambda a, b, live=None: live is not None),
     )
     monkeypatch.setattr(
+        redup._kernel, "chain_product", spy("chain", redup._kernel.chain_product)
+    )
+    monkeypatch.setattr(
         redup._kernel, "coreachable", spy("coreachable", redup._kernel.coreachable)
     )
     got, out, _ = run(capsys, "parse", grammar, entry, surface, *flags)
@@ -192,7 +196,7 @@ def test_eager_parse_is_an_open_product_then_a_one_part_close(
     if flags == ("--lazy",):
         assert parse_step == []
     else:
-        assert parse_step == [("open", None), ("product", False), ("close", 1)]
+        assert parse_step == [("open", None), ("chain", None), ("close", 1)]
 
 
 def test_parse_rejects_unknown_tokens_as_usage(capsys):

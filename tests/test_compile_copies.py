@@ -268,14 +268,14 @@ def test_construction_writes_every_slot_through_its_bound_setter(ab):
                  for name in names]
         m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, ab.char("a"), True),), check=True)
         assert Fsa(ab, 2, 0, {1}, m.arcs) == m
-    assert [spy.call_count for spy in spies] == [2] * 10
+    assert [spy.call_count for spy in spies] == [2] * 11
 
 
 @pytest.mark.parametrize("slot", Fsa.__slots__)
 def test_every_slot_is_frozen_and_set_fresh(ab, slot):
     m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, ab.char("a"), True),))
     fresh = {"alphabet": ab, "n": 2, "start": 0, "finals": frozenset({1}),
-             "_raw_arcs": ((0, 1, ab.char("a"), True),), "_trim": False}
+             "_raw_arcs": ((0, 1, ab.char("a"), True),), "_trim": False, "_closed": False}
     assert getattr(m, slot) == fresh.get(slot)
     with pytest.raises(FrozenInstanceError):
         setattr(m, slot, None)
@@ -285,17 +285,17 @@ def test_every_slot_is_frozen_and_set_fresh(ab, slot):
 
 def test_copies_pickles_and_equals_get_fresh_caches():
     m = wordform(400)[0]
-    close(m)  # marked trim: returned as it is
+    assert close(m) is m  # marked trim, no consumer arc: returned as it is, marked closed
     m.out_raw(), m.out_bits()
     intersect_open(m, prepare_parse_input(m.alphabet, "lapatlin"))  # fills the live memo
-    assert m._trim and m._out is not None and m._bits is not None and m._memo
+    assert m._trim and m._closed and m._out is not None and m._bits is not None and m._memo
     fresh = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     assert fresh == m and hash(fresh) == hash(m) and not fresh._trim
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), fresh):
         assert twin == m and hash(twin) == hash(m) and twin is not m
         assert twin.arcs == m.arcs
-        assert (twin._out, twin._bits, twin._memo, twin._tokens, twin._trim) == (
-            None, None, None, None, False)
+        assert (twin._out, twin._bits, twin._memo, twin._tokens, twin._trim, twin._closed) == (
+            None, None, None, None, False, False)
 
 
 def test_copies_and_pickles_of_an_unread_chain_are_plain_machines():

@@ -1,10 +1,10 @@
 """A parse's product enters only live pairs, checked against the open
 product it replaced.
 
-`_kernel.product(machine, chain)`, for a chain built by
-`prepare_parse_input`, first walks the query back through the machine and
-then enters only the pairs that can still reach a pair of finals, so
-`intersect_open` builds its result trim and cuts nothing. The reference is
+`_kernel.chain_product(machine, labels)`, which `intersect_open` runs
+against a chain built by `prepare_parse_input`, first walks the query
+back through the machine and then enters only the pairs that can still
+reach a pair of finals, so it builds its result trim and cuts nothing. The reference is
 the open product a parse ran before (``ref_open_product``), pruned by
 ``ref_prune``. The two must agree exactly (state count, start, finals, the
 raw arc sequence and the trim mark):
@@ -67,6 +67,11 @@ from test_representation import random_fsa
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def empty_machine(m):
+    """The one empty machine `m`'s memo returns for every rejected query."""
+    return m.live_memo()[None][4]
+
+
 def check_parse(m, chain):
     """The parse's product is the reference's pruned, and counts its pairs."""
     stats = ProductStats()
@@ -91,9 +96,10 @@ def test_a_rejected_query_enters_no_pair(ab, surface, n):
     m = Fsa.from_raw(ab, 3, 0, frozenset({2}), (
         (0, 1, a_, True), (1, 1, ab.repeat, False), (1, 2, b_ | ab.skip, True)))
     chain = prepare_parse_input(ab, surface)
+    got = _kernel.chain_product(m, chain._tokens)
     if not n:
-        assert _kernel.product(m, chain) == (1, 0, [], [], 0)
-    assert check_parse(m, chain).n == max(n, 1)
+        assert got is empty_machine(m)
+    assert check_parse(m, chain) is got and got.n == max(n, 1)
 
 
 # -- the live sets -------------------------------------------------------------------------
@@ -384,7 +390,7 @@ def test_the_memo_and_the_chain_mark_are_left_out_of_equality_pickling_and_copie
 def test_compiles_walk_back_no_query():
     """A compile's operands are no parse chains: every open product of the
     shipped entries and of a 400-stem wordform takes the dead-end path."""
-    with mock.patch.object(_kernel, "_chain_product", side_effect=AssertionError("walked")):
+    with mock.patch.object(_kernel, "chain_product", side_effect=AssertionError("walked")):
         for grammar, entry in shipped_entries():
             load_grammar(grammar).compile(entry)
         machine = compile_lexicon(koasati.stems(1, 400)).compile(koasati.ENTRY)

@@ -1,19 +1,19 @@
 """A lexicon keeps each accepted parse product, checked against the
 products it would build again.
 
-`_kernel.product(lexicon, chain)` keeps an accepted product's raw parts,
-``(n, finals, arcs)``, in a table inside the lexicon's live memo, by the
-query's token labels, so a query accepted before runs neither the walk
-back nor the forward pass. `interpret.intersect_open` still builds a new
-machine from those parts on every call. A rejected query is not kept: it
-returns the one canonical empty machine the memo holds.
+`_kernel.chain_product(lexicon, labels)`, which `interpret.intersect_open`
+runs against a parse chain, keeps an accepted product, the trim machine
+itself, in a table inside the lexicon's live memo, by the query's token
+labels, so a query accepted before runs neither the walk back nor the
+forward pass, and gets that same machine back. A rejected query is not
+kept: it returns the one empty machine the memo holds.
 
 - On 2,000 seeded queries against each of the seed-1 and seed-2 1,600-stem
   Koasati wordforms, a pass that keeps nothing gives the reference
   products; a pass that keeps them, and one that reads every accepted
   product from the table, must give the same machines exactly, the same
-  `ProductStats.per_call`, a new machine with empty caches on every call,
-  and no new step record.
+  `ProductStats.per_call`, one machine per distinct accepted query,
+  returned again by every later parse of it, and no new step record.
 - The table holds at most ``_kernel._PARSE_TABLE_ARCS`` arcs, drops its
   oldest products first and never keeps one larger than that: checked on
   the cyclic machine of `test_live_pairs` with a small budget, and on
@@ -34,7 +34,7 @@ from redup import _kernel
 from redup.fsa import Fsa, is_empty, never_fsa, trim
 from redup.interpret import ProductStats, close, intersect_open, prepare_parse_input
 from test_koasati_oracle import compile_lexicon, koasati
-from test_live_pairs import chain_lexicon, check_parse, cycle_of_segments
+from test_live_pairs import chain_lexicon, check_parse, cycle_of_segments, empty_machine
 from test_product_path import identical
 
 
@@ -90,22 +90,20 @@ def test_products_from_the_table_match_cold_products(seed):
     # second only the rejected ones
     assert [walks for _got, _counts, walks in passes] == [
         len(queries) - repeats, len(queries) - len(accepts)]
-    empty = _kernel.empty_product(m)
+    empty = empty_machine(m)
     for got, counts, _walks in passes:
         assert counts == want_counts
         for q, result, want in zip(queries, got, wants):
             identical(result, want)
-            if q in accepted:
-                assert (result._out, result._bits, result._memo) == (None, None, None)
-            else:
+            if q not in accepted:
                 assert result is empty
-    # each call built its own machine, over the parts the table keeps
-    kept = [result for got, _counts, _walks in passes for result in got if result.finals]
-    assert len({id(result) for result in kept}) == len(kept) == 2 * len(accepts)
+    # the first parse of each accepted query built its machine, and every
+    # later parse of it returns that machine
     first = passes[0][0]
     for got, _counts, _walks in passes:
         for i in accepts:
-            assert got[i].raw_arcs is first[firsts[queries[i]]].raw_arcs
+            assert got[i] is first[firsts[queries[i]]]
+    assert len({id(first[i]) for i in accepts}) == len(accepts) - repeats
     assert m.live_memo() == steps
     assert all(m.live_memo()[key] is record for key, record in steps.items())
 
@@ -139,7 +137,7 @@ def test_the_table_drops_its_oldest_products_first(ab, monkeypatch):
         added.append((tuple(prepare_parse_input(ab, surface)._tokens), size))
         kept = table(m)
         assert list(kept) == fifo(added, budget)
-        assert kept.arcs == sum(len(arcs) for _n, _finals, arcs in kept.values()) <= budget
+        assert kept.arcs == sum(len(p.raw_arcs) for p in kept.values()) <= budget
     # the two longest are each larger than the whole budget: the product
     # before them is all the table keeps
     assert sizes[-1] > sizes[-2] > budget
@@ -166,7 +164,7 @@ def test_parses_within_a_drawn_budget_match_the_reference(ab, data):
         for surface in surfaces + surfaces:
             check_parse(m, prepare_parse_input(ab, surface))
             kept = table(m)
-            assert kept.arcs == sum(len(arcs) for _n, _f, arcs in kept.values()) <= budget
+            assert kept.arcs == sum(len(p.raw_arcs) for p in kept.values()) <= budget
 
 
 # -- the shared empty machine --------------------------------------------------------------
@@ -175,7 +173,7 @@ def test_parses_within_a_drawn_budget_match_the_reference(ab, data):
 def test_every_rejected_parse_returns_the_lexicon_s_empty_machine(ab):
     m = cycle_of_segments(ab)
     empty = intersect_open(m, prepare_parse_input(ab, "b"))
-    assert empty is _kernel.empty_product(m)
+    assert empty is empty_machine(m)
     for surface in ["", "a", "aba", "abba", "bab"]:
         assert intersect_open(m, prepare_parse_input(ab, surface)) is empty
     # one per lexicon

@@ -24,8 +24,9 @@ that built one.
 - The evaluator returns an enrichment's operand as it is when the operand
   has no finals, so a rejected Koasati stem costs no enrichment.
 
-A parse then builds exactly two machines when accepted and only the
-chain when rejected, and a 400-stem compile fewer than 1,950. The hypothesis tests here set no example count of their own,
+A parse then builds exactly two machines when accepted for the first
+time and only the chain otherwise, and a 400-stem compile fewer than
+1,950. The hypothesis tests here set no example count of their own,
 so a profile registered in ``conftest.py`` can run them longer.
 """
 
@@ -322,24 +323,30 @@ def test_parses_of_seeded_queries_match():
 
 
 def test_a_parse_builds_two_machines():
-    """The chain and the trim product when accepted, and the chain alone
-    when rejected: every rejected parse returns the one canonical empty
-    machine of the lexicon's memo, built with the memo's first record."""
+    """The chain and the trim product when accepted for the first time,
+    and the chain alone otherwise: a repeat returns the product the
+    lexicon kept, and every rejected parse the one empty machine of the
+    lexicon's memo, built with the memo's first record. `close` of either
+    builds nothing."""
     cg, m, accepted = lexicon(400)
+    m = Fsa.from_raw(m.alphabet, m.n, m.start, m.finals, m.raw_arcs)
     queries = koasati.queries(5, accepted, 200)
     intersect_open(m, prepare_parse_input(cg.alphabet, queries[0]))
-    empties = set()
+    seen, empties = {queries[0]}, set()
     for q in queries:
         patch, built = counting_constructions()
         with patch:
             got = intersect_open(m, prepare_parse_input(cg.alphabet, q))
-            is_empty(close(got))
+            assert close(got) is got
         if q in accepted:
-            assert len(built) == 2, q
+            assert len(built) == (1 if q in seen else 2) and got.finals, q
         else:
             assert len(built) == 1 and got == never_fsa(cg.alphabet), q
             empties.add(id(got))
+        seen.add(q)
     assert len(empties) == 1
+    firsts = len(seen & accepted)
+    assert 10 < firsts < sum(q in accepted for q in queries) - 10
 
 
 def test_a_lexicon_compile_builds_fewer_machines():
