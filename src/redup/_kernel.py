@@ -16,14 +16,16 @@ built by ``interpret.prepare_parse_input``), and returns the trim machine
 itself. It first walks the query back through the lexicon, and enters
 only the pairs that can still reach a pair of finals. A rejected query is
 settled by that walk alone, with no pair entered, and its product is the
-one empty machine the lexicon keeps. Each step back is memoized on the
-machine (``Fsa.live_memo``) as its set of live states, so a lexicon walks
-each step back once for all its queries. The memo, lazy reverse
-determinization with caching in the sense of Mohri, Pereira & Riley 2000,
-also keeps each accepted product by the query's token labels, up to
-``_PARSE_TABLE_ARCS`` arcs in all, so a query the lexicon has accepted
-before runs neither the walk nor the forward pass, and gets the same
-machine back.
+one empty machine the lexicon keeps. Each live step back is memoized on
+the machine (``Fsa.live_memo``) as its set of live states, so a lexicon
+walks each live step back once for all its queries. A dead step, whose
+label no in-arc of the set's states reads, is settled by the set's mask,
+the OR of those in-arcs' labels, and is not stored. The memo, lazy
+reverse determinization with caching in the sense of Mohri, Pereira &
+Riley 2000, also keeps each accepted product by the query's token labels,
+up to ``_PARSE_TABLE_ARCS`` arcs in all, so a query the lexicon has
+accepted before runs neither the walk nor the forward pass, and gets the
+same machine back.
 """
 
 from __future__ import annotations
@@ -129,15 +131,15 @@ def chain_product(a: Fsa, labels: list[int]) -> Fsa:
     """
     memo = a.live_memo()
     record = memo.get(None) or _first_record(a, memo)
-    parses = record[3]
+    parses = record.parses
     query = tuple(labels)
     kept = parses.get(query)
     if kept is not None:
         return kept
     steps = _live_sets(a, labels)
     if steps is None:
-        return record[4]
-    inc, raw = record[0], a.raw_arcs
+        return record.empty
+    inc, raw = record.inc, a.raw_arcs
     out_a, finals_a, tech = a.out_raw(), a.finals, a.alphabet.tech
     last = len(labels)
     width = last + 1
@@ -216,23 +218,28 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
     S_n (n tokens) is the states that reach a final of ``a`` over arcs
     that read a technical symbol, and S_i the states that reach, over such
     arcs, the source of an arc that reads token i's label and enters
-    S_(i+1). The walk goes back from S_n and stops at the first empty set.
-    Each step is memoized in ``a.live_memo()`` under (S_(i+1), label);
-    what every walk starts from is under None (``_first_record``).
+    S_(i+1). The walk goes back from S_n. Each step is memoized in
+    ``a.live_memo()`` under (S_(i+1), label); what every walk starts from
+    is under None (``_first_record``). A step the memo does not hold is
+    first tested against the mask of S_(i+1) (``_Record.sets``): when no
+    in-arc of its states overlaps the label, S_i is empty and the walk
+    stops there, with no arc scanned and nothing stored. Otherwise some
+    in-arc's source reads the label, so S_i is not empty: the memo holds
+    no empty set.
     """
     memo = a.live_memo()
     tech = a.alphabet.tech
-    inc, sets, live, _parses, _empty = memo.get(None) or _first_record(a, memo)
+    record = memo.get(None) or _first_record(a, memo)
+    inc, sets, live = record.inc, record.sets, record.last
     steps = [live]
     for label in reversed(labels):
-        if not live:
-            return None
         key = (live, label)
         live = memo.get(key)
         if live is None:
-            found = _back_closure(
-                inc, {s for d in key[0] for s, b, _k in inc[d] if b & label}, tech)
-            live = memo[key] = sets.setdefault(found, found)
+            if not label & sets[key[0]][1]:
+                return None
+            live = memo[key] = record.interned(_back_closure(
+                inc, {s for d in key[0] for s, b, _k in inc[d] if b & label}, tech))
         steps.append(live)
     if a.start not in live:
         return None
@@ -240,21 +247,50 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
     return steps
 
 
-def _first_record(a: Fsa, memo: dict) -> tuple:
+class _Record:
+    """What every walk back against a lexicon starts from, kept under None
+    in its live memo (``_first_record``).
+
+    ``inc`` is the in-adjacency the steps walk and the forward pass joins
+    through, as ``(src, bits, index in raw_arcs)``; ``sets`` keeps each
+    distinct live set once, as ``(the set, its mask)``, the mask being the
+    OR of the labels of its states' in-arcs; ``last`` is S_n; ``parses``
+    the table of accepted products (``_Parses``); ``empty`` the one empty
+    machine every rejected query returns.
+    """
+
+    __slots__ = ("inc", "sets", "last", "parses", "empty")
+
+    def __init__(self, inc: list[list[tuple[int, int, int]]], last: frozenset[int], empty: Fsa):
+        self.inc = inc
+        self.sets: dict[frozenset[int], tuple[frozenset[int], int]] = {}
+        self.last = self.interned(last)
+        self.parses = _Parses()
+        self.empty = empty
+
+    def interned(self, found: frozenset[int]) -> frozenset[int]:
+        """The one object kept for the set ``found``, which is entered
+        with its mask when it is new."""
+        kept = self.sets.get(found)
+        if kept is None:
+            inc, mask = self.inc, 0
+            for d in found:
+                for _s, b, _k in inc[d]:
+                    mask |= b
+            kept = self.sets[found] = (found, mask)
+        return kept[0]
+
+
+def _first_record(a: Fsa, memo: dict) -> _Record:
     """The record under None of ``a``'s live memo, built by the first parse
-    against ``a``: the in-adjacency the steps walk and the forward pass
-    joins through, as ``(src, bits, index in a.raw_arcs)``, the table that
-    keeps each distinct set once, S_n, the table of accepted products
-    (``_Parses``) and the empty machine every rejected query returns, one
-    for all of them. That machine is never marked trim; it has no arc, so
-    it is marked closed, and nothing writes to it but its own caches."""
+    against ``a``. Its empty machine is never marked trim; it has no arc,
+    so it is marked closed, and nothing writes to it but its own caches."""
     inc: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
     for k, (s, d, b, _pc) in enumerate(a.raw_arcs):
         inc[d].append((s, b, k))
-    live = _back_closure(inc, set(a.finals), a.alphabet.tech)
     empty = never_fsa(a.alphabet)
     _set_closed(empty, True)
-    memo[None] = record = (inc, {live: live}, live, _Parses(), empty)
+    memo[None] = record = _Record(inc, _back_closure(inc, set(a.finals), a.alphabet.tech), empty)
     return record
 
 

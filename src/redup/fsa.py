@@ -232,14 +232,17 @@ class Fsa(Frozen):
         """The product kernel's memo of live sets, empty at first.
 
         A product against a parse chain (``_kernel.chain_product``) fills
-        it: its backward walk keys each set of states that can still read a
-        suffix of a query by the set one token later and that token's
-        label. What every walk starts from is under None, beside the
-        in-adjacency, each accepted product by its query's token labels,
-        and the empty machine of every rejected one. A lexicon so walks
-        each step back once, and a query it has accepted before runs
-        neither the walk nor the forward pass. Left out of equality,
-        hashing, pickling and copies like the adjacency.
+        it: its backward walk keys each non-empty set of states that can
+        still read a suffix of a query by the set one token later and that
+        token's label. What every walk starts from is under None, in one
+        record (``_kernel._Record``): the in-adjacency, each distinct set
+        with its mask (the OR of its states' in-arc labels, which settles
+        a step to the empty set without storing it), S_n, each accepted
+        product by its query's token labels, and the empty machine of
+        every rejected one. A lexicon so walks each live step back once,
+        and a query it has accepted before runs neither the walk nor the
+        forward pass. Left out of equality, hashing, pickling and copies
+        like the adjacency.
         """
         memo = self._memo
         if memo is None:

@@ -124,8 +124,10 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
     one machine, and is `trim(m)` when no arc of `m` is a consumer.  A
     machine marked closed is known to have none, and its arcs are not
     scanned: a parse's product of producer arcs alone, or a result of
-    `close`, and so `close(m)` is `m` itself when `m` is marked both
-    closed and trim.  What `close` returns is marked closed.  With
+    `close`, and so `close(m)` is `m` itself when `m` is marked closed
+    and is either marked trim or the canonical empty machine (one state,
+    no final, no arc), as every rejected parse's product is.  What
+    `close` returns is marked closed.  With
     several parts, all but the one with the most arcs are intersected
     openly in the order given, and that largest part joins last, in one
     closed product: arc pairs with no producer on either side are never
@@ -151,7 +153,7 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
         raise TypeError("close() needs at least one automaton")
     if len(parts) == 1:
         a = parts[0]
-        if a._closed and a._trim:
+        if a._closed and (a._trim or a.n == 1 and not a.finals and not a.raw_arcs):
             return a
         if not (a._closed or all(map(_is_producer, a.raw_arcs))):
             a = Fsa.from_raw(a.alphabet, a.n, a.start, a.finals,

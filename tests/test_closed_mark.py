@@ -11,7 +11,8 @@ two), `intersect_open` (general, and against a parse chain), `enrich`,
 copies and pickles, and after every step:
 
 - a machine marked closed has no consumer arc;
-- `close(m)` is `m` when `m` is marked closed and trim;
+- `close(m)` is `m` when `m` is marked closed and is trim or the
+  canonical empty machine, and then it calls no `trim`;
 - what `close` returns is marked, and a parse's product is marked exactly
   when all its arcs are producers;
 - an enrichment, a consumer retyping, a copy or a pickle is not marked.
@@ -22,13 +23,16 @@ registered in ``conftest.py`` can run it longer.
 
 import copy
 import pickle
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redup.compiler import _retyped
 from redup.enrich import enrich
 from redup.fsa import Fsa, canonical, never_fsa, trim
+from redup import interpret
 from redup.interpret import close, intersect_open, prepare_parse_input
 from test_representation import random_fsa
 
@@ -76,8 +80,9 @@ def step(m, op, other, surface):
 def check_marks(m):
     if m._closed:
         assert all_producers(m)
-        if m._trim:
-            assert close(m) is m
+        if m._trim or m == never_fsa(m.alphabet):
+            with mock.patch.object(interpret, "trim", side_effect=AssertionError("trimmed")):
+                assert close(m) is m
 
 
 @settings(deadline=None)
@@ -116,3 +121,18 @@ def test_a_parse_product_is_marked_only_when_all_its_arcs_are_producers(ab):
     assert not q._closed and close(q) == never_fsa(ab)
     empty = intersect_open(mixed, prepare_parse_input(ab, "ba"))
     assert empty._closed and close(empty) is empty
+
+
+def test_close_returns_the_lexicon_s_empty_machine_at_once(ab):
+    """Every rejected parse returns the lexicon's one empty machine, which
+    is marked closed but not trim: `close` of it calls no `trim`."""
+    a_ = ab.char("a")
+    m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, a_, True),))
+    empty = intersect_open(m, prepare_parse_input(ab, "b"))
+    assert empty is m.live_memo()[None].empty
+    assert empty._closed and not empty._trim and empty == never_fsa(ab)
+    with mock.patch.object(interpret, "trim", side_effect=AssertionError("trimmed")):
+        assert close(empty) is empty
+        # an unmarked empty machine is trimmed as before
+        with pytest.raises(AssertionError, match="trimmed"):
+            close(never_fsa(ab))

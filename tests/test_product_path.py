@@ -167,8 +167,7 @@ def memo_records(m):
     distinct sets, the kept accepted products and the empty machine of
     rejected ones, which are no step records."""
     memo = m.live_memo()
-    _inc, _sets, last, _parses, _empty = memo[None]
-    return [last] + [record for key, record in memo.items() if key is not None]
+    return [memo[None].last] + [record for key, record in memo.items() if key is not None]
 
 
 def identical(got, want):

@@ -113,7 +113,7 @@ def test_the_join_reads_the_in_arcs_by_index(ab):
     the lexicon's raw arcs), in arc order."""
     lexicon = stem_union(ab, WIDE)
     intersect_open(lexicon, prepare_parse_input(ab, "ab"))
-    inc = lexicon.live_memo()[None][0]
+    inc = lexicon.live_memo()[None].inc
     assert sorted(k for arcs in inc for _s, _b, k in arcs) == list(range(len(lexicon.raw_arcs)))
     for d, arcs in enumerate(inc):
         assert [k for _s, _b, k in arcs] == sorted(k for _s, _b, k in arcs)
