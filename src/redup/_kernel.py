@@ -30,7 +30,7 @@ same machine back.
 
 from __future__ import annotations
 
-from .fsa import Fsa, RawArc, _is_producer, _marked, _set_closed, never_fsa
+from .fsa import Fsa, RawArc, _NewFsa, _is_producer, _set_closed, never_fsa
 
 BACKEND = "py"
 
@@ -136,7 +136,7 @@ def chain_product(a: Fsa, labels: list[int]) -> Fsa:
     kept = parses.get(query)
     if kept is not None:
         return kept
-    steps = _live_sets(a, labels)
+    steps = _live_sets(a, labels, memo, record)
     if steps is None:
         return record.empty
     inc, raw = record.inc, a.raw_arcs
@@ -178,9 +178,8 @@ def chain_product(a: Fsa, labels: list[int]) -> Fsa:
             bits = ba & tech
             if bits and da in here:
                 arcs.append((sid, enter(da, i), bits, pa))
-    m = _marked(Fsa.from_raw(a.alphabet, len(pair_id), 0, frozenset(finals), tuple(arcs)))
-    if all(map(_is_producer, arcs)):
-        _set_closed(m, True)
+    m = _NewFsa(a.alphabet, len(pair_id), 0, frozenset(finals), tuple(arcs),
+                trim=True, closed=all(map(_is_producer, arcs)))
     _keep_parse(parses, query, m)
     return m
 
@@ -210,7 +209,8 @@ def _keep_parse(parses: _Parses, query: tuple[int, ...], kept: Fsa) -> None:
     parses[query] = kept
 
 
-def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
+def _live_sets(a: Fsa, labels: list[int], memo: dict,
+               record: _Record) -> list[frozenset[int]] | None:
     """Per chain state i the set S_i of the states q of ``a`` from which
     the pair (q, i) reaches a pair of finals; None when the start pair
     cannot.
@@ -219,17 +219,16 @@ def _live_sets(a: Fsa, labels: list[int]) -> list[frozenset[int]] | None:
     that read a technical symbol, and S_i the states that reach, over such
     arcs, the source of an arc that reads token i's label and enters
     S_(i+1). The walk goes back from S_n. Each step is memoized in
-    ``a.live_memo()`` under (S_(i+1), label); what every walk starts from
-    is under None (``_first_record``). A step the memo does not hold is
+    ``memo``, ``a.live_memo()``, under (S_(i+1), label); what every walk
+    starts from is ``record``, the memo's entry under None
+    (``_first_record``). A step the memo does not hold is
     first tested against the mask of S_(i+1) (``_Record.sets``): when no
     in-arc of its states overlaps the label, S_i is empty and the walk
     stops there, with no arc scanned and nothing stored. Otherwise some
     in-arc's source reads the label, so S_i is not empty: the memo holds
     no empty set.
     """
-    memo = a.live_memo()
     tech = a.alphabet.tech
-    record = memo.get(None) or _first_record(a, memo)
     inc, sets, live = record.inc, record.sets, record.last
     steps = [live]
     for label in reversed(labels):

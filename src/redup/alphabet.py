@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable, NamedTuple
+from weakref import WeakValueDictionary
 
 from .errors import Frozen, InventoryError
 
@@ -54,6 +55,17 @@ class Symbol(NamedTuple):
         )
 
 
+class _Value:
+    """The one key object of an alphabet value (`Alphabet._key`)."""
+
+    __slots__ = ("__weakref__",)
+
+
+# each alphabet value in use, by its four fields (the dicts as item sets),
+# to its key object; an entry goes with the last alphabet that holds it
+_VALUES: WeakValueDictionary = WeakValueDictionary()
+
+
 class Alphabet(Frozen):
     """Symbol table for one grammar: segment variants plus repeat and skip.
 
@@ -65,12 +77,16 @@ class Alphabet(Frozen):
     Immutable, and equal by value; its dicts make it unhashable. The
     constructor takes the four value fields and derives the rest:
     `_token_lengths` from `_char_mask`, and the stored masks `sigma`, `seg`,
-    `tech`, `repeat` and `skip` from `_class_mask`. Those take no part in
-    equality, and copies and pickles rebuild them.
+    `tech`, `repeat` and `skip` from `_class_mask`. Copies and pickles
+    rebuild them. It also looks its value up once, in a table that keeps
+    one key object per value in use (`_key`), so equal alphabets share
+    their key and an equality test is one identity test, however large the
+    alphabet: a machine unpickled or built over an equal but distinct
+    alphabet meets no slower product than one built over the same.
     """
 
     __slots__ = ("symbols", "chars", "_char_mask", "_class_mask", "_token_lengths",
-                 "sigma", "seg", "tech", "repeat", "skip")
+                 "sigma", "seg", "tech", "repeat", "skip", "_key")
 
     symbols: tuple[Symbol, ...]
     chars: tuple[str, ...]
@@ -102,15 +118,13 @@ class Alphabet(Frozen):
         init(self, "repeat", _class_mask["repeat"])
         init(self, "skip", _class_mask["skip"])
         init(self, "tech", self.repeat | self.skip)
+        value = (symbols, chars, frozenset(_char_mask.items()), frozenset(_class_mask.items()))
+        init(self, "_key", _VALUES.setdefault(value, _Value()))
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.symbols, self.chars, self._char_mask, self._class_mask) == (
-            other.symbols, other.chars, other._char_mask, other._class_mask
-        )
+        return self._key is other._key
 
     __hash__ = None
 

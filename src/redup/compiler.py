@@ -50,7 +50,7 @@ from .enrich import add_repeats, add_self_loops, add_skips
 from .errors import DEFAULT_BUDGET, CompileError
 from .fsa import (
     Fsa,
-    _marked,
+    _NewFsa,
     build_from_string,
     combine,
     determinize,
@@ -101,19 +101,22 @@ def compile_rule(alphabet: Alphabet, subject: int, outcome: int, context: int) -
 
     if not banned:
         arc(0, alphabet.sigma, 0)
-        return _marked(Fsa.from_raw(alphabet, 1, 0, frozenset({0}), tuple(arcs), check=True))
-    arc(0, alphabet.complement(banned), 0)
-    arc(0, banned, 1)
-    arc(1, banned & alphabet.complement(context), 1)
-    arc(1, alphabet.complement(banned | context), 0)
-    return _marked(Fsa.from_raw(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs), check=True))
+        m = _NewFsa(alphabet, 1, 0, frozenset({0}), tuple(arcs), trim=True)
+    else:
+        arc(0, alphabet.complement(banned), 0)
+        arc(0, banned, 1)
+        arc(1, banned & alphabet.complement(context), 1)
+        arc(1, alphabet.complement(banned | context), 0)
+        m = _NewFsa(alphabet, 2, 0, frozenset({0, 1}), tuple(arcs), trim=True)
+    m.__post_init__()
+    return m
 
 
 def _retyped(machine: Fsa, pc: bool) -> Fsa:
     """The same machine, as trim, with every arc made producer (pc) or consumer."""
     arcs = tuple((s, d, b, pc) for s, d, b, _pc in machine.raw_arcs)
-    m = Fsa.from_raw(machine.alphabet, machine.n, machine.start, machine.finals, arcs)
-    return _marked(m, machine._trim)
+    return _NewFsa(machine.alphabet, machine.n, machine.start, machine.finals, arcs,
+                   trim=machine._trim)
 
 
 def not_contains(machine: Fsa) -> Fsa:
@@ -131,7 +134,7 @@ def not_contains(machine: Fsa) -> Fsa:
         if missing:
             arcs.append((q, sink, missing, False))
     finals = frozenset(q for q in range(matcher.n + 1) if q not in matcher.finals)
-    return trim(Fsa.from_raw(al, matcher.n + 1, matcher.start, finals, tuple(arcs)))
+    return trim(_NewFsa(al, matcher.n + 1, matcher.start, finals, tuple(arcs)))
 
 
 def ignore_technicals(machine: Fsa) -> Fsa:
@@ -146,7 +149,7 @@ def ignore_technicals(machine: Fsa) -> Fsa:
     seg, tech = al.seg, al.tech
     arcs = [(s, d, b & seg, pc) for s, d, b, pc in machine.raw_arcs if b & seg]
     arcs.extend((q, q, tech, False) for q in range(machine.n))
-    return trim(Fsa.from_raw(al, machine.n, machine.start, machine.finals, tuple(arcs)))
+    return trim(_NewFsa(al, machine.n, machine.start, machine.finals, tuple(arcs)))
 
 
 def _hoisted_subtrees(body) -> list:

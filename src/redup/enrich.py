@@ -10,12 +10,12 @@ symbol or segment.
 
 from __future__ import annotations
 
-from .fsa import Fsa, _marked
+from .fsa import Fsa, _NewFsa
 
 
 def _with(a: Fsa, added: tuple) -> Fsa:
     """`a` with `added` arcs, as trim as `a`: arcs added keep live states live."""
-    return _marked(Fsa.from_raw(a.alphabet, a.n, a.start, a.finals, a.raw_arcs + added), a._trim)
+    return _NewFsa(a.alphabet, a.n, a.start, a.finals, a.raw_arcs + added, trim=a._trim)
 
 
 def add_self_loops(a: Fsa) -> Fsa:

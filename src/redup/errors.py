@@ -7,6 +7,13 @@ class Frozen:
     Assignment and deletion raise `dataclasses.FrozenInstanceError`, as on
     a frozen dataclass, so callers catch the standard type.  It is imported
     only when raised: loading the toolkit does not load `dataclasses`.
+
+    A subclass fills its slots in its constructor with `object.__setattr__`
+    (`Alphabet`), or, where construction is hot, through an unfrozen twin
+    (`Fsa`, built by `fsa._NewFsa`): a subclass that adds no slot and takes
+    `object`'s own `__setattr__` and `__delattr__` back, so its `__init__`
+    fills the slots by plain attribute stores, and then assigns the frozen
+    class to `__class__`, which their one layout allows.
     """
 
     __slots__ = ()

@@ -34,9 +34,15 @@ retyping arcs can add consumers.
 None of the caches, nor the marks, takes part in equality, hashing,
 pickling or copies, and the hash itself is not cached.
 Input is validated at the boundary only: the public constructor, the
-builders and the grammar compiler. Internal operations build their results
-with the unchecked ``Fsa.from_raw``, which sets each slot by a setter bound
-once at import.
+builders and the grammar compiler. Every machine is built in one call of
+``_NewFsa``, the unfrozen twin of ``Fsa``: its ``__init__`` fills all
+eleven slots by plain attribute stores, the marks and a chain's token
+labels included, and then makes the instance an ``Fsa``, frozen from then
+on. The public constructor and the unchecked ``Fsa.from_raw`` go through
+it, and every operation here and in ``interpret``, ``_kernel``,
+``enrich`` and ``compiler`` calls it directly, passing the marks its
+result is known to have. Only a cache, filled on first use, and a mark set on a machine that
+already exists are written later, each by a setter bound once at import.
 
 Trimming is one rule: keep the states on some path from the start to a
 final, numbered in order, and mark the result trim; a machine with no such
@@ -128,7 +134,8 @@ class Fsa(Frozen):
             raise AutomatonError(
                 "finals must be a set of states and arcs Arc(src, Label(bits, pc), dst)"
             ) from None
-        _init(self, alphabet, n, start, finals, raw)
+        object.__setattr__(self, "__class__", _NewFsa)  # the twin, until filled
+        _NewFsa.__init__(self, alphabet, n, start, finals, raw)
         self.__post_init__()
 
     @staticmethod
@@ -140,13 +147,8 @@ class Fsa(Frozen):
         raw_arcs: tuple[RawArc, ...] | None,
         check: bool = False,
     ) -> "Fsa":
-        """Build from raw arcs; validated only with `check` (for builders).
-
-        `raw_arcs` is None only for a parse chain, marked with its token
-        labels at once (`interpret.prepare_parse_input`).
-        """
-        m = object.__new__(Fsa)
-        _init(m, alphabet, n, start, finals, raw_arcs)
+        """Build from raw arcs; validated only with `check` (for builders)."""
+        m = _NewFsa(alphabet, n, start, finals, raw_arcs)
         if check:
             m.__post_init__()
         return m
@@ -295,31 +297,44 @@ class Fsa(Frozen):
         return q in self.finals
 
 
-# each slot's setter, bound once: a write skips `object.__setattr__`'s lookup
-(_set_alphabet, _set_n, _set_start, _set_finals, _set_raw_arcs, _set_out,
- _set_bits, _set_memo, _set_tokens, _set_trim, _set_closed) = (
-    getattr(Fsa, slot).__set__ for slot in Fsa.__slots__)
+class _NewFsa(Fsa):
+    """The unfrozen twin of `Fsa`: calling it builds an `Fsa`.
+
+    Its `__init__` is the one place a machine is filled. It sets all
+    eleven slots by plain attribute stores, which this class, with the
+    generic `__setattr__` and `__delattr__` of `object`, lets through,
+    and then turns the instance into an `Fsa`, frozen from then on. The
+    slots are `Fsa`'s own and this class adds none, so the two layouts
+    are one and the `__class__` assignment is allowed. `raw_arcs` is None
+    only for a parse chain, which passes its token labels
+    (`interpret.prepare_parse_input`).
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, alphabet: Alphabet, n: int, start: int, finals: frozenset[int],
+                 raw_arcs: tuple[RawArc, ...] | None, tokens: list[int] | None = None,
+                 trim: bool = False, closed: bool = False):
+        self.alphabet = alphabet
+        self.n = n
+        self.start = start
+        self.finals = finals
+        self._raw_arcs = raw_arcs
+        self._out = None
+        self._bits = None
+        self._memo = None
+        self._tokens = tokens
+        self._trim = trim
+        self._closed = closed
+        self.__class__ = Fsa
 
 
-def _init(m: Fsa, alphabet, n, start, finals, raw_arcs) -> None:
-    _set_alphabet(m, alphabet)
-    _set_n(m, n)
-    _set_start(m, start)
-    _set_finals(m, finals)
-    _set_raw_arcs(m, raw_arcs)
-    _set_out(m, None)
-    _set_bits(m, None)
-    _set_memo(m, None)
-    _set_tokens(m, None)
-    _set_trim(m, False)
-    _set_closed(m, False)
-
-
-def _marked(m: Fsa, mark: bool = True) -> Fsa:
-    """`m`, its trim mark set to `mark`: for a builder whose result is trim
-    by construction, or as trim as the operand it was built from."""
-    _set_trim(m, mark)
-    return m
+# the cache and mark setters, bound once: a write skips `object.__setattr__`'s lookup
+_set_raw_arcs, _set_out, _set_bits, _set_memo, _set_trim, _set_closed = (
+    getattr(Fsa, slot).__set__
+    for slot in ("_raw_arcs", "_out", "_bits", "_memo", "_trim", "_closed"))
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +343,19 @@ def _marked(m: Fsa, mark: bool = True) -> Fsa:
 
 def empty_string_fsa(alphabet: Alphabet) -> Fsa:
     """Accepts exactly the empty string."""
-    return _marked(Fsa.from_raw(alphabet, 1, 0, frozenset({0}), ()))
+    return _NewFsa(alphabet, 1, 0, frozenset({0}), (), trim=True)
 
 
 def never_fsa(alphabet: Alphabet) -> Fsa:
     """Accepts nothing (the canonical empty automaton)."""
-    return Fsa.from_raw(alphabet, 1, 0, frozenset(), ())
+    return _NewFsa(alphabet, 1, 0, frozenset(), ())
 
 
 def symbol_fsa(alphabet: Alphabet, bits: int, pc: bool = False) -> Fsa:
     """Accepts exactly one symbol drawn from `bits`."""
-    return _marked(Fsa.from_raw(alphabet, 2, 0, frozenset({1}), ((0, 1, bits, pc),), check=True))
+    m = _NewFsa(alphabet, 2, 0, frozenset({1}), ((0, 1, bits, pc),), trim=True)
+    m.__post_init__()
+    return m
 
 
 def build_from_string(
@@ -373,7 +390,7 @@ def build_from_string(
     # shrunk, and the holes that leaves in the heap of a lexicon compile
     # cost most of a megabyte of peak memory at 1,600 stems
     arcs = tuple(list(zip(range(n), range(1, n + 1), labels, repeat(pc, n))))
-    return _marked(Fsa.from_raw(alphabet, n + 1, 0, frozenset({n}), arcs))
+    return _NewFsa(alphabet, n + 1, 0, frozenset({n}), arcs, trim=True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +509,7 @@ def combine(kind: str, parts: Sequence[Fsa], alphabet: Alphabet | None = None) -
                 if f != start:
                     splice(f, head)
 
-    return _marked(Fsa.from_raw(alphabet, root + 1, root, frozenset(finals), tuple(arcs)))
+    return _NewFsa(alphabet, root + 1, root, frozenset(finals), tuple(arcs), trim=True)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +600,13 @@ def _keep(alphabet: Alphabet, n: int, start: int, finals: Iterable[int],
     kept = keep.count(1)
     if kept == n:
         if whole is None:
-            whole = Fsa.from_raw(alphabet, n, start, frozenset(finals), tuple(arcs))
-        return _marked(whole)
+            return _NewFsa(alphabet, n, start, frozenset(finals), tuple(arcs), trim=True)
+        _set_trim(whole, True)
+        return whole
     pos = list(accumulate(keep, initial=0))  # a kept state's new number
     cut = tuple([(pos[s], pos[d], b, pc) for s, d, b, pc in arcs if keep[s] and keep[d]])
-    return _marked(Fsa.from_raw(alphabet, kept, pos[start],
-                                frozenset([pos[q] for q in finals if keep[q]]), cut))
+    return _NewFsa(alphabet, kept, pos[start], frozenset([pos[q] for q in finals if keep[q]]),
+                   cut, trim=True)
 
 
 def label_atoms(labels: Iterable[int]) -> list[int]:
@@ -676,7 +694,7 @@ def determinize(a: Fsa) -> Fsa:
     n, start, finals, arcs = _subset_construct(
         a.out_raw(), frozenset({a.start}), a.finals, _atoms(a)
     )
-    return _marked(Fsa.from_raw(a.alphabet, n, start, finals, arcs))
+    return _NewFsa(a.alphabet, n, start, finals, arcs, trim=True)
 
 
 def minimize(a: Fsa) -> Fsa:
@@ -694,7 +712,7 @@ def minimize(a: Fsa) -> Fsa:
 
     n1, s1, f1, arcs1 = reverse_det(a.n, frozenset(a.finals), a.raw_arcs, frozenset({a.start}))
     n2, s2, f2, arcs2 = reverse_det(n1, f1, arcs1, frozenset({s1}))
-    return _marked(Fsa.from_raw(a.alphabet, n2, s2, f2, arcs2))
+    return _NewFsa(a.alphabet, n2, s2, f2, arcs2, trim=True)
 
 
 def normalize(a: Fsa, mode: str = "minimize") -> Fsa:
@@ -727,8 +745,8 @@ def canonical(a: Fsa) -> Fsa:
                 order[d] = len(order)
                 queue.append(d)
             arcs.append((src, order[d], b, pc))
-    return _marked(Fsa.from_raw(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals),
-                                tuple(arcs)), m._trim)
+    return _NewFsa(m.alphabet, m.n, 0, frozenset(order[q] for q in m.finals), tuple(arcs),
+                   trim=m._trim)
 
 
 def language_equal(a: Fsa, b: Fsa) -> bool:
@@ -907,7 +925,7 @@ def project_surface(a: Fsa) -> Fsa:
                 if wide and (d, wide, pc) not in copied:
                     copied.add((d, wide, pc))
                     arcs.append((q, d, wide, pc))
-    return trim(Fsa.from_raw(al, a.n, a.start, frozenset(new_finals), tuple(arcs)))
+    return trim(_NewFsa(al, a.n, a.start, frozenset(new_finals), tuple(arcs)))
 
 
 def surface_strings(

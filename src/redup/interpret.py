@@ -17,9 +17,7 @@ from typing import Sequence
 from . import _kernel
 from .alphabet import Alphabet
 from .errors import AutomatonError
-from .fsa import (
-    Fsa, _is_producer, _marked, _set_closed, _set_tokens, never_fsa, pruned_from_raw, trim,
-)
+from .fsa import Fsa, _NewFsa, _is_producer, _set_closed, never_fsa, pruned_from_raw, trim
 
 
 class ProductStats:
@@ -70,11 +68,6 @@ class ProductStats:
         self.per_call.append(visited)
 
 
-def _same_alphabet(a: Fsa, b: Fsa) -> None:
-    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
-        raise AutomatonError("intersection over mismatched alphabets")
-
-
 def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     """Pairwise product with label intersection and producer-dominant pc.
 
@@ -89,7 +82,8 @@ def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
     the pairs the product enters, or for a parse `a` has accepted before
     the pairs its product entered then.
     """
-    _same_alphabet(a, b)
+    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
+        raise AutomatonError("intersection over mismatched alphabets")
     if b._tokens is not None:
         got = _kernel.chain_product(a, b._tokens)
         if stats is not None:
@@ -104,17 +98,17 @@ def intersect_open(a: Fsa, b: Fsa, stats: ProductStats | None = None) -> Fsa:
 def _closed_product(a: Fsa, b: Fsa, stats: ProductStats | None) -> Fsa:
     """Backward first: the forward pass enters only co-reachable pairs, so
     the result is already trim."""
-    _same_alphabet(a, b)
+    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
+        raise AutomatonError("intersection over mismatched alphabets")
     live = _kernel.coreachable(a, b)
     if stats is not None:
         stats.record(len(live))
     if a.start * b.n + b.start not in live:
         m = never_fsa(a.alphabet)
-    else:
-        n, start, finals, arcs, _entered = _kernel.product(a, b, live)
-        m = _marked(Fsa.from_raw(a.alphabet, n, start, frozenset(finals), tuple(arcs)))
-    _set_closed(m, True)
-    return m
+        _set_closed(m, True)
+        return m
+    n, start, finals, arcs, _entered = _kernel.product(a, b, live)
+    return _NewFsa(a.alphabet, n, start, frozenset(finals), tuple(arcs), trim=True, closed=True)
 
 
 def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
@@ -156,8 +150,8 @@ def close(*parts: Fsa, stats: ProductStats | None = None) -> Fsa:
         if a._closed and (a._trim or a.n == 1 and not a.finals and not a.raw_arcs):
             return a
         if not (a._closed or all(map(_is_producer, a.raw_arcs))):
-            a = Fsa.from_raw(a.alphabet, a.n, a.start, a.finals,
-                             tuple(arc for arc in a.raw_arcs if arc[3]))
+            a = _NewFsa(a.alphabet, a.n, a.start, a.finals,
+                        tuple(arc for arc in a.raw_arcs if arc[3]))
         a = trim(a)
         _set_closed(a, True)
         return a
@@ -179,7 +173,7 @@ def closing_order(parts: Sequence[Fsa]) -> list[Fsa]:
 
 def universal_producer(alphabet: Alphabet) -> Fsa:
     """Producer-typed Σ* (technicals included): the always-available resource."""
-    return Fsa.from_raw(alphabet, 1, 0, frozenset({0}), ((0, 0, alphabet.sigma, True),))
+    return _NewFsa(alphabet, 1, 0, frozenset({0}), ((0, 0, alphabet.sigma, True),))
 
 
 def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
@@ -197,6 +191,4 @@ def prepare_parse_input(alphabet: Alphabet, string: str) -> Fsa:
     """
     labels = alphabet.token_masks(string)
     n = len(labels)
-    m = Fsa.from_raw(alphabet, n + 1, 0, frozenset((n,)), None)
-    _set_tokens(m, labels)
-    return m
+    return _NewFsa(alphabet, n + 1, 0, frozenset((n,)), None, labels)

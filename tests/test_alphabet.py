@@ -237,6 +237,26 @@ def test_alphabet_is_an_immutable_value(ab):
         hash(ab)
 
 
+def test_equal_alphabets_share_one_key(ab):
+    """Equality is one identity test: an alphabet equal to another,
+    however it was built, holds the same key object, and one that differs
+    in any field holds another."""
+    fields = pickle.loads(pickle.dumps((ab.symbols, ab.chars, ab._char_mask, ab._class_mask)))
+    twins = [Alphabet.from_inventory(AB_ROWS), Alphabet(*fields), copy.copy(ab),
+             copy.deepcopy(ab), pickle.loads(pickle.dumps(ab))]
+    for twin in twins:
+        assert twin is not ab and twin._key is ab._key and twin == ab and not twin != ab
+    # the dicts compare as dicts: their order is not part of the value
+    flipped = Alphabet(ab.symbols, ab.chars, dict(reversed(ab._char_mask.items())),
+                       dict(reversed(ab._class_mask.items())))
+    assert flipped._key is ab._key
+    others = [Alphabet.from_inventory([("a", "vowel", ()), ("c", "consonant", ())]),
+              Alphabet.from_inventory(AB_ROWS[::-1]),
+              Alphabet(ab.symbols, ab.chars, ab._char_mask, {**ab._class_mask, "x": 1})]
+    for other in others:
+        assert other._key is not ab._key and other != ab
+
+
 @pytest.mark.parametrize(
     "field", ["symbols", "chars", "_char_mask", "_token_lengths", "tech", "sigma", "other"]
 )

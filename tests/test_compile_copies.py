@@ -23,7 +23,6 @@ import copy
 import pickle
 import sys
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from unittest import mock
@@ -247,13 +246,13 @@ def test_a_lexicon_compile_builds_fewer_machines():
     wordform compile, 2,773 since."""
     cg = compile_lexicon(koasati.stems(1, 400))
     built = []
-    real = fsa._init
+    real = fsa._NewFsa.__init__
 
-    def counting(*args):
+    def counting(self, *args, **kwargs):
         built.append(1)
-        real(*args)
+        real(self, *args, **kwargs)
 
-    with mock.patch.object(fsa, "_init", counting):
+    with mock.patch.object(fsa._NewFsa, "__init__", counting):
         cg.compile(koasati.ENTRY)
     assert len(built) <= 2800
 
@@ -261,19 +260,28 @@ def test_a_lexicon_compile_builds_fewer_machines():
 # -- the Fsa contract -------------------------------------------------------------------
 
 
-def test_construction_writes_every_slot_through_its_bound_setter(ab):
-    names = ["_set_" + slot.lstrip("_") for slot in Fsa.__slots__]
-    with ExitStack() as stack:
-        spies = [stack.enter_context(mock.patch.object(fsa, name, wraps=getattr(fsa, name)))
-                 for name in names]
+def test_construction_fills_every_slot_in_one_call(ab):
+    """The raw and the public constructor each fill their machine in one
+    call of `_NewFsa.__init__`, which sets all eleven slots (reading an
+    unset slot would raise)."""
+    filled = []
+    real = fsa._NewFsa.__init__
+
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        filled.append([getattr(self, slot) for slot in Fsa.__slots__])
+
+    with mock.patch.object(fsa._NewFsa, "__init__", spy):
         m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, ab.char("a"), True),), check=True)
         assert Fsa(ab, 2, 0, {1}, m.arcs) == m
-    assert [spy.call_count for spy in spies] == [2] * 11
+    assert [len(slots) for slots in filled] == [11] * 2
 
 
 @pytest.mark.parametrize("slot", Fsa.__slots__)
 def test_every_slot_is_frozen_and_set_fresh(ab, slot):
+    assert len(Fsa.__slots__) == 11  # the machine's own slots, one case each
     m = Fsa.from_raw(ab, 2, 0, frozenset({1}), ((0, 1, ab.char("a"), True),))
+    assert type(m) is Fsa
     fresh = {"alphabet": ab, "n": 2, "start": 0, "finals": frozenset({1}),
              "_raw_arcs": ((0, 1, ab.char("a"), True),), "_trim": False, "_closed": False}
     assert getattr(m, slot) == fresh.get(slot)

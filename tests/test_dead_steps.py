@@ -29,10 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redup import _kernel
 from redup.fsa import Fsa
 from test_koasati_oracle import compile_lexicon, koasati
-from test_live_pairs import check_live_sets, random_acyclic
+from test_live_pairs import check_live_sets, live_sets, random_acyclic
 from test_representation import random_fsa
 
 
@@ -141,7 +140,7 @@ def test_the_walk_equals_the_unmasked_walk_on_seeded_queries(seed):
     accepted = 0
     for query in koasati.queries(seed, koasati.lexicon_forms(stems), 20000):
         labels = cg.alphabet.token_masks(query)
-        got = _kernel._live_sets(m, labels)
+        got = live_sets(m, labels)
         assert got == walk(labels)
         accepted += got is not None
     assert 9000 < accepted < 11000

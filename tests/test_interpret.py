@@ -92,6 +92,24 @@ def test_intersect_requires_shared_alphabet(bam):
         intersect_open(build_from_string(bam, "wu"), build_from_string(other, "z"))
 
 
+def test_a_parse_and_a_closed_product_require_an_equal_alphabet(bam):
+    """A parse chain or a closed product over another alphabet is refused;
+    over an equal but distinct one, as an unpickled machine has, it is the
+    product over the same alphabet."""
+    other = Alphabet.from_inventory([("z", "consonant", ())])
+    wu = build_from_string(bam, "wu")
+    with pytest.raises(AutomatonError, match="mismatched"):
+        intersect_open(wu, prepare_parse_input(other, "z"))
+    with pytest.raises(AutomatonError, match="mismatched"):
+        close(wu, build_from_string(other, "z"))
+    twin = pickle.loads(pickle.dumps(wu))
+    assert twin.alphabet is not bam and twin.alphabet == bam
+    for surface in ("wu", "w"):
+        got = intersect_open(twin, prepare_parse_input(bam, surface))
+        assert got == intersect_open(wu, prepare_parse_input(bam, surface))
+    assert close(twin, wu) == close(wu, wu)
+
+
 def test_intersect_label_narrowing(bam):
     w_all = build_from_string(bam, "w")
     w_mora = consumer(bam, bam.char("w") & bam.named_set("mora"))

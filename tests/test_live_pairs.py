@@ -125,12 +125,20 @@ def ref_live_sets(m, labels):
     return live
 
 
+def live_sets(m, labels):
+    """`_kernel._live_sets` of `m`, passed the memo and the record under
+    None that `chain_product` looks up (the record built if it is not
+    there yet)."""
+    memo = m.live_memo()
+    return _kernel._live_sets(m, labels, memo, memo.get(None) or _kernel._first_record(m, memo))
+
+
 def check_live_sets(m, surface):
     """`_kernel._live_sets` gives the reference's sets, or None exactly
     when the start pair is not live; the parse then agrees too."""
     chain = prepare_parse_input(m.alphabet, surface)
     want = ref_live_sets(m, chain._tokens)
-    lives = _kernel._live_sets(m, chain._tokens)
+    lives = live_sets(m, chain._tokens)
     if m.start in want[0]:
         assert lives == want
     else:
@@ -261,7 +269,7 @@ def test_a_wide_state_keeps_the_out_arc_order(ab, surface):
     lexicon = stem_union(ab, 3 * WIDE)
     chain = prepare_parse_input(ab, surface)
     got = check_parse(lexicon, chain)
-    steps = _kernel._live_sets(lexicon, chain._tokens)
+    steps = live_sets(lexicon, chain._tokens)
     if len(surface) == 2:
         assert got.finals
         assert len(got.out_raw()[got.start]) < len(lexicon.out_raw()[lexicon.start])

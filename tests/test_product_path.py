@@ -85,14 +85,15 @@ def ref_prune(a):
         return never_fsa(a.alphabet)
     kept = keep.count(1)
     if kept == n:
-        return fsa._marked(a)
+        fsa._set_trim(a, True)
+        return a
     remap = [-1] * n
     for i, q in enumerate(compress(range(n), keep)):
         remap[q] = i
     arcs = tuple((remap[s], remap[d], b, pc) for s, d, b, pc in raw
                  if remap[s] >= 0 and remap[d] >= 0)
-    return fsa._marked(Fsa.from_raw(a.alphabet, kept, remap[start],
-                                    frozenset(remap[q] for q in finals if keep[q]), arcs))
+    return fsa._NewFsa(a.alphabet, kept, remap[start],
+                       frozenset(remap[q] for q in finals if keep[q]), arcs, trim=True)
 
 
 def ref_pruned(alphabet, n, start, finals, arcs):
@@ -191,16 +192,16 @@ def checked(module):
 
 
 def counting_constructions():
-    """Patch `fsa._init`, through which every `Fsa` is built; yields the
-    list it appends one entry to per construction."""
+    """Patch `fsa._NewFsa.__init__`, through which every `Fsa` is built;
+    yields the list it appends one entry to per construction."""
     built = []
-    real = fsa._init
+    real = fsa._NewFsa.__init__
 
-    def counting(*args):
+    def counting(self, *args, **kwargs):
         built.append(1)
-        real(*args)
+        real(self, *args, **kwargs)
 
-    return mock.patch.object(fsa, "_init", counting), built
+    return mock.patch.object(fsa._NewFsa, "__init__", counting), built
 
 
 @lru_cache(maxsize=None)
